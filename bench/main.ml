@@ -15,14 +15,14 @@
      --quick               train inputs and only the VRS-50 configuration
      --jobs N              worker domains (0 = auto: OGC_JOBS or the
                            machine's recommended domain count)
-     --json FILE           write the collection as machine-readable JSON
-     --baseline FILE       diff against a previous --json file and exit 3
-                           on regression (skips the micro-benchmarks)
-     --max-regression PCT  per-cell energy/IPC tolerance for --baseline
-                           (default 5.0); also gates analyze visit counts
-     --max-time-regression PCT
-                           analyze wall-time tolerance for --baseline
-                           (default 200.0 — timings are noisy)
+     --json FILE           write the gated rows (one line each: modelled
+                           energy/IPC cells, spill, analyze and fleet
+                           series, a per-workload output digest) and the
+                           phase timings
+     --baseline FILE       gate against a previous --json file: exit 3 on
+                           regression, 65 if FILE is malformed or of an
+                           older format (re-bless it), 66 if unreadable;
+                           skips the micro-benchmarks
      --trace FILE          record phase spans during the collection and
                            write a Chrome trace_event JSON (Perfetto)
      --skip-micro          skip the ablations and micro-benchmarks *)
@@ -41,8 +41,6 @@ type options = {
   jobs : int option;
   json_out : string option;
   baseline : string option;
-  max_regression_pct : float;
-  max_time_regression_pct : float;
   trace_out : string option;
   skip_micro : bool;
 }
@@ -50,7 +48,6 @@ type options = {
 let usage () =
   prerr_endline
     "usage: main.exe [--quick] [--jobs N] [--json FILE] [--baseline FILE]\n\
-    \                [--max-regression PCT] [--max-time-regression PCT]\n\
     \                [--trace FILE] [--skip-micro]";
   exit 64
 
@@ -62,8 +59,6 @@ let parse_options () =
         jobs = None;
         json_out = None;
         baseline = None;
-        max_regression_pct = 5.0;
-        max_time_regression_pct = 200.0;
         trace_out = None;
         skip_micro = false;
       }
@@ -91,18 +86,6 @@ let parse_options () =
     | "--trace" :: v :: rest ->
       o := { !o with trace_out = Some v };
       go rest
-    | "--max-regression" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some p when p >= 0.0 ->
-        o := { !o with max_regression_pct = p };
-        go rest
-      | _ -> usage ())
-    | "--max-time-regression" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some p when p >= 0.0 ->
-        o := { !o with max_time_regression_pct = p };
-        go rest
-      | _ -> usage ())
     | arg :: _ ->
       Printf.eprintf "unknown option %s\n" arg;
       usage ()
@@ -112,18 +95,6 @@ let parse_options () =
 
 let opts = parse_options ()
 let quick = opts.quick
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
 
 (* --- part 0: serve-fleet smoke bench ------------------------------------------ *)
 
@@ -211,18 +182,7 @@ let () =
     (if jobs = 1 then "" else "s");
   (* Load the baseline before the (expensive) collection so a bad path or
      corrupt file fails in milliseconds, not after the whole run. *)
-  let baseline =
-    match opts.baseline with
-    | None -> None
-    | Some path ->
-      (try Some (path, Results.of_json (Json.of_string (read_file path))) with
-      | Sys_error msg ->
-        Format.eprintf "cannot read baseline: %s@." msg;
-        exit 66
-      | Json.Parse_error msg ->
-        Format.eprintf "bad baseline %s: %s@." path msg;
-        exit 65)
-  in
+  let gate = Option.map Results.baseline_gate opts.baseline in
   if opts.trace_out <> None then begin
     Ogc_obs.Metrics.set_enabled true;
     Ogc_obs.Span.set_enabled true
@@ -321,35 +281,13 @@ let () =
   (match opts.json_out with
   | None -> ()
   | Some path ->
-    (* Per-phase timings ride along at the top level; Results.of_json
-       ignores unknown members, so --baseline keeps working. *)
-    let body =
-      match Results.to_json res with
-      | Json.Obj members ->
-        Json.Obj
-          (members
-           @ [ ("phases",
-                Json.Obj (List.map (fun (n, s) -> (n, Json.Float s)) phases))
-             ])
-      | j -> j
-    in
-    write_file path (Json.to_string body);
+    Results.write_json path ~phases res;
     Format.printf "wrote %s@.@." path);
-  match baseline with
+  match gate with
   | None -> ()
-  | Some (path, baseline) ->
-    let regs =
-      Results.compare_to_baseline
-        ~time_tolerance:(opts.max_time_regression_pct /. 100.0) ~baseline
-        ~current:res
-        ~threshold:(opts.max_regression_pct /. 100.0)
-    in
-    Format.printf "%s"
-      (Ogc_harness.Render.heading
-         (Printf.sprintf "Regression check vs %s (tolerance %.1f%%)" path
-            opts.max_regression_pct));
-    Format.printf "%s@." (Results.render_regressions regs);
-    if regs <> [] then exit 3 else exit 0
+  | Some gate ->
+    gate res;
+    exit 0
 
 (* --- part 1b: ablations of the design choices DESIGN.md calls out ------------- *)
 

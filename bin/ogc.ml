@@ -543,40 +543,22 @@ let report_cmd =
   let json_out =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
-             ~doc:"Also write the collected results as machine-readable \
+             ~doc:"Also write the gated result rows and phase timings as \
                    JSON (the bench/CI interchange format).")
   in
   let baseline =
     Arg.(value & opt (some string) None
          & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Compare against a previous $(b,--json) file and exit 3 \
-                   when any per-workload energy/IPC cell regressed beyond \
-                   the tolerance.")
+             ~doc:"Gate against a previous $(b,--json) file: exit 3 when \
+                   any row regressed, 65 when FILE is malformed or of an \
+                   older format (re-bless it), 66 when it is unreadable.")
   in
-  let max_regression =
-    Arg.(value & opt float 5.0
-         & info [ "max-regression" ] ~docv:"PCT"
-             ~doc:"Regression tolerance for $(b,--baseline), in percent.")
-  in
-  let run quick only experiment jobs json_out baseline max_regression =
+  let run quick only experiment jobs json_out baseline =
     wrap (fun () ->
         let only = if only = [] then None else Some only in
         (* Read the baseline up front so a bad path/file fails before the
            expensive collection, not after it. *)
-        let baseline =
-          match baseline with
-          | None -> None
-          | Some path ->
-            let ic = open_in_bin path in
-            let n = in_channel_length ic in
-            let src = really_input_string ic n in
-            close_in ic;
-            (try
-               Some
-                 (path, Ogc_harness.Results.of_json (Json.of_string src))
-             with Json.Parse_error msg ->
-               Fmt.failwith "bad baseline %s: %s" path msg)
-        in
+        let gate = Option.map Ogc_harness.Results.baseline_gate baseline in
         let res, phases =
           Ogc_harness.Results.collect_timed ~quick ?only ~jobs
             ~progress:(fun s -> Fmt.epr "[%s] %!" s)
@@ -600,42 +582,14 @@ let report_cmd =
         (match json_out with
         | None -> ()
         | Some path ->
-          let oc = open_out_bin path in
-          (* Phase timings ride along at the top level; of_json ignores
-             unknown members, so old readers and --baseline still work. *)
-          let body =
-            match Ogc_harness.Results.to_json res with
-            | Json.Obj members ->
-              Json.Obj
-                (members
-                 @ [ ("phases",
-                      Json.Obj
-                        (List.map (fun (n, s) -> (n, Json.Float s)) phases)) ])
-            | j -> j
-          in
-          output_string oc (Json.to_string body);
-          close_out oc;
+          Ogc_harness.Results.write_json path ~phases res;
           Fmt.epr "wrote %s@." path);
-        match baseline with
-        | None -> ()
-        | Some (path, base) ->
-          let regs =
-            Ogc_harness.Results.compare_to_baseline ~time_tolerance:0.5
-              ~baseline:base ~current:res
-              ~threshold:(max_regression /. 100.0)
-          in
-          print_string
-            (Ogc_harness.Render.heading
-               (Printf.sprintf "Regression check vs %s (tolerance %.1f%%)"
-                  path max_regression));
-          print_string (Ogc_harness.Results.render_regressions regs);
-          if regs <> [] then exit 3)
+        Option.iter (fun gate -> gate res) gate)
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Regenerate the paper's tables and figures on the workload suite")
-    Term.(const run $ quick $ only $ experiment $ jobs $ json_out $ baseline
-          $ max_regression)
+    Term.(const run $ quick $ only $ experiment $ jobs $ json_out $ baseline)
 
 (* --- serve / submit ----------------------------------------------------------- *)
 

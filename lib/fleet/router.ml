@@ -854,7 +854,11 @@ let handle_conn t fd =
          flush oc
        | exception (End_of_file | Sys_error _) -> continue := false
      done
-   with _ -> ());
+   with e ->
+     Log.warn "ogc-router: connection dropped"
+       ~fields:
+         [ ("addr", J.Str (Server.addr_string t.cfg.addr));
+           ("error", J.Str (Printexc.to_string e)) ]);
   locked t (fun () -> t.conns <- List.filter (fun c -> c != fd) t.conns);
   try Unix.close fd with Unix.Unix_error _ -> ()
 

@@ -430,28 +430,6 @@ let all_iclasses =
     Instr.C_xor; Instr.C_shift; Instr.C_cmp; Instr.C_cmov; Instr.C_msk;
     Instr.C_load; Instr.C_store; Instr.C_move; Instr.C_call; Instr.C_other ]
 
-let iclass_of_name n =
-  match
-    List.find_opt (fun c -> String.equal (Instr.iclass_name c) n) all_iclasses
-  with
-  | Some c -> c
-  | None -> raise (Json.Parse_error (Printf.sprintf "unknown iclass %S" n))
-
-let width_of_bits = function
-  | 8 -> Width.W8
-  | 16 -> Width.W16
-  | 32 -> Width.W32
-  | 64 -> Width.W64
-  | b -> raise (Json.Parse_error (Printf.sprintf "unknown width %d" b))
-
-let structure_of_name n =
-  match
-    List.find_opt (fun s -> String.equal (Ep.structure_name s) n)
-      Ep.all_structures
-  with
-  | Some s -> s
-  | None -> raise (Json.Parse_error (Printf.sprintf "unknown structure %S" n))
-
 let iclass_rank c =
   let rec go i = function
     | [] -> assert false
@@ -492,8 +470,6 @@ let stats_to_json (s : Pipeline.stats) =
       ("dcache_accesses", Json.Int s.dcache_accesses);
       ("dcache_misses", Json.Int s.dcache_misses);
       ("l2_misses", Json.Int s.l2_misses);
-      (* Derived, for external consumers (plots, CI dashboards); of_json
-         ignores both. *)
       ("ipc", Json.Float (Pipeline.ipc s));
       ("energy_nj", Json.Float (Account.total s.energy));
       ("spill_traffic", Json.Float (Account.spill_traffic s.energy));
@@ -507,74 +483,6 @@ let stats_to_json (s : Pipeline.stats) =
       ("checksum", Json.Str (Int64.to_string s.checksum));
     ]
 
-let stats_of_json j : Pipeline.stats =
-  let class_width = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      Hashtbl.replace class_width
-        ( iclass_of_name (Json.get_string "class" e),
-          width_of_bits (Json.get_int "width" e) )
-        (Json.get_int "n" e))
-    (Json.get_list "class_width" j);
-  let opcode_counts = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Json.Arr [ Json.Int op; Json.Int n ] ->
-        Hashtbl.replace opcode_counts op n
-      | _ -> raise (Json.Parse_error "opcode_counts: expected [op, n] pairs"))
-    (Json.get_list "opcode_counts" j);
-  (* Absent in files written before the spill-traffic series. *)
-  let spill =
-    match Json.member "spill_traffic" j with
-    | Json.Null -> 0.0
-    | Json.Float f -> f
-    | Json.Int i -> float_of_int i
-    | _ -> raise (Json.Parse_error "spill_traffic: expected a number")
-  in
-  let energy =
-    match Json.member "energy" j with
-    | Json.Obj kvs ->
-      Account.of_values ~spill
-        (List.map
-           (fun (k, v) ->
-             match v with
-             | Json.Float f -> (structure_of_name k, f)
-             | Json.Int i -> (structure_of_name k, float_of_int i)
-             | _ ->
-               raise
-                 (Json.Parse_error
-                    (Printf.sprintf "energy.%s: expected a number" k)))
-           kvs)
-    | _ -> raise (Json.Parse_error "energy: expected an object")
-  in
-  let sigbyte_histogram =
-    Json.get_list "sigbyte_histogram" j
-    |> List.map (function
-         | Json.Int n -> n
-         | _ -> raise (Json.Parse_error "sigbyte_histogram: expected ints"))
-    |> Array.of_list
-  in
-  let checksum =
-    match Int64.of_string_opt (Json.get_string "checksum" j) with
-    | Some c -> c
-    | None -> raise (Json.Parse_error "checksum: expected an int64 string")
-  in
-  {
-    cycles = Json.get_int "cycles" j;
-    instructions = Json.get_int "instructions" j;
-    branches = Json.get_int "branches" j;
-    mispredictions = Json.get_int "mispredictions" j;
-    icache_misses = Json.get_int "icache_misses" j;
-    dcache_accesses = Json.get_int "dcache_accesses" j;
-    dcache_misses = Json.get_int "dcache_misses" j;
-    l2_misses = Json.get_int "l2_misses" j;
-    energy;
-    class_width;
-    opcode_counts;
-    sigbyte_histogram;
-    checksum;
-  }
-
 let summary_to_json (s : vrs_summary) =
   Json.Obj
     [
@@ -584,15 +492,6 @@ let summary_to_json (s : vrs_summary) =
       ("static_cloned", Json.Int s.static_cloned);
       ("static_eliminated", Json.Int s.static_eliminated);
     ]
-
-let summary_of_json j =
-  {
-    points_specialized = Json.get_int "specialized" j;
-    points_dependent = Json.get_int "dependent" j;
-    points_no_benefit = Json.get_int "no_benefit" j;
-    static_cloned = Json.get_int "static_cloned" j;
-    static_eliminated = Json.get_int "static_eliminated" j;
-  }
 
 let wres_to_json (w : wres) =
   Json.Obj
@@ -626,42 +525,6 @@ let wres_to_json (w : wres) =
       ("vrs50_guard_frac", Json.Float w.vrs50_guard_frac);
     ]
 
-let wres_of_json j =
-  let stats k = stats_of_json (Json.member k j) in
-  (* Absent in files written before the spill-slot series. *)
-  let opt_int k =
-    match Json.member k j with
-    | Json.Null -> 0
-    | Json.Int i -> i
-    | _ -> raise (Json.Parse_error (Printf.sprintf "%s: expected an int" k))
-  in
-  {
-    wname = Json.get_string "name" j;
-    static_instructions = Json.get_int "static_instructions" j;
-    spill_slots_bytes = opt_int "spill_slots_bytes";
-    spill_slots_naive_bytes = opt_int "spill_slots_naive_bytes";
-    base_none = stats "base_none";
-    base_hwsig = stats "base_hwsig";
-    base_hwsize = stats "base_hwsize";
-    vrp_sw = stats "vrp_sw";
-    vrpconv_sw = stats "vrpconv_sw";
-    vrp_sig = stats "vrp_sig";
-    vrp_size = stats "vrp_size";
-    vrs =
-      List.map
-        (fun e -> (Json.get_int "label" e, stats_of_json (Json.member "stats" e)))
-        (Json.get_list "vrs" j);
-    vrs50_sig = stats "vrs50_sig";
-    vrs50_size = stats "vrs50_size";
-    vrs_reports =
-      List.map
-        (fun e ->
-          (Json.get_int "label" e, summary_of_json (Json.member "report" e)))
-        (Json.get_list "vrs_reports" j);
-    vrs50_spec_frac = Json.get_float "vrs50_spec_frac" j;
-    vrs50_guard_frac = Json.get_float "vrs50_guard_frac" j;
-  }
-
 let fleet_to_json fb =
   Json.Obj
     [
@@ -674,17 +537,6 @@ let fleet_to_json fb =
       ("p99_ms", Json.Float fb.fb_p99_ms);
     ]
 
-let fleet_of_json j =
-  {
-    fb_shards = Json.get_int "shards" j;
-    fb_requests = Json.get_int "requests" j;
-    fb_failed = Json.get_int "failed" j;
-    fb_hedged = Json.get_int "hedged" j;
-    fb_p50_ms = Json.get_float "p50_ms" j;
-    fb_p95_ms = Json.get_float "p95_ms" j;
-    fb_p99_ms = Json.get_float "p99_ms" j;
-  }
-
 let analyze_to_json (name, ab) =
   Json.Obj
     [
@@ -696,24 +548,9 @@ let analyze_to_json (name, ab) =
       ("defs", Json.Int ab.ab_defs);
     ]
 
-let analyze_of_json j =
-  ( Json.get_string "name" j,
-    {
-      ab_seconds = Json.get_float "seconds" j;
-      ab_naive_seconds = Json.get_float "naive_seconds" j;
-      ab_visits = Json.get_int "visits" j;
-      ab_rounds = Json.get_int "rounds" j;
-      ab_defs = Json.get_int "defs" j;
-    } )
-
-let format_name = "ogc-results"
-let format_version = 1
-
 let to_json t =
   Json.Obj
     ([
-       ("format", Json.Str format_name);
-       ("version", Json.Int format_version);
        ("quick", Json.Bool t.quick);
        ("workloads", Json.Arr (List.map wres_to_json t.workloads));
        ("analyze", Json.Arr (List.map analyze_to_json t.analyze));
@@ -723,41 +560,24 @@ let to_json t =
     | None -> []
     | Some fb -> [ ("fleet", fleet_to_json fb) ])
 
-let of_json j =
-  (match Json.member "format" j with
-  | Json.Str f when String.equal f format_name -> ()
-  | _ -> raise (Json.Parse_error "not an ogc-results file"));
-  (match Json.get_int "version" j with
-  | 1 -> ()
-  | v ->
-    raise
-      (Json.Parse_error (Printf.sprintf "unsupported results version %d" v)));
-  {
-    quick = Json.get_bool "quick" j;
-    workloads = List.map wres_of_json (Json.get_list "workloads" j);
-    (* Absent in files written before the analyze-throughput series. *)
+let without_timings t =
+  { t with
     analyze =
-      (match Json.member "analyze" j with
-      | Json.Null -> []
-      | _ -> List.map analyze_of_json (Json.get_list "analyze" j));
-    (* Absent in files written before the fleet series, and in runs
-       that skipped the fleet bench. *)
-    fleet =
-      (match Json.member "fleet" j with
-      | Json.Null -> None
-      | fj -> Some (fleet_of_json fj));
-  }
+      List.map
+        (fun (n, ab) ->
+          (n, { ab with ab_seconds = 0.0; ab_naive_seconds = 0.0 }))
+        t.analyze }
 
-(* --- regression comparison --------------------------------------------------- *)
+(* --- gated rows ----------------------------------------------------------- *)
 
-type regression = {
-  r_workload : string;
-  r_config : string;
-  r_metric : string;
-  r_baseline : float;
-  r_current : float;
-  r_delta_frac : float;
-}
+type gate = Exact | Worse_up of float | Worse_down of float | Time of float
+type row = { series : string; key : string; value : float; gate : gate }
+
+(* Modelled outputs may drift this far before a cell regresses.  Wall
+   times get a catastrophic-only bound: best-of-5 timings still swing by
+   tens of percent on a shared runner. *)
+let model_tolerance = 0.05
+let time_tolerance = 2.0
 
 let config_stats (w : wres) =
   [
@@ -772,170 +592,167 @@ let config_stats (w : wres) =
   @ List.map (fun (l, s) -> (Printf.sprintf "vrs%d" l, s)) w.vrs
   @ [ ("vrs50_sig", w.vrs50_sig); ("vrs50_size", w.vrs50_size) ]
 
-let compare_to_baseline ~time_tolerance ~baseline ~current ~threshold =
-  if baseline.quick <> current.quick then
+(* The first 48 bits of an MD5, as a float that holds them exactly. *)
+let digest48 s =
+  let d = Digest.string s in
+  let v = ref 0 in
+  for i = 0 to 5 do
+    v := (!v lsl 8) lor Char.code d.[i]
+  done;
+  float_of_int !v
+
+let gated t =
+  let row series key gate value = { series; key; value; gate } in
+  let per_workload f = List.concat_map f t.workloads in
+  [ row "mode" "*/quick" Exact (if t.quick then 1.0 else 0.0) ]
+  @ per_workload (fun w ->
+        let mine =
+          { t with
+            workloads = [ w ];
+            analyze = List.filter (fun (n, _) -> n = w.wname) t.analyze;
+            fleet = None }
+        in
+        [ row "digest" (w.wname ^ "/md5") Exact
+            (digest48
+               (Json.to_string ~indent:false (to_json (without_timings mine))))
+        ])
+  @ per_workload (fun w ->
+        List.concat_map
+          (fun (config, (s : Pipeline.stats)) ->
+            let key m = String.concat "/" [ w.wname; config; m ] in
+            (* Energy is worse when it grows, IPC when it drops. *)
+            [ row "cell" (key "energy_nj") (Worse_up model_tolerance)
+                (Account.total s.energy);
+              row "cell" (key "ipc") (Worse_down model_tolerance)
+                (Pipeline.ipc s) ])
+          (config_stats w))
+  @ per_workload (fun w ->
+        let key m = w.wname ^ "/" ^ m in
+        [ row "spill" (key "spill_slots_bytes") (Worse_up model_tolerance)
+            (float_of_int w.spill_slots_bytes);
+          row "spill" (key "spill_traffic") (Worse_up model_tolerance)
+            (Account.spill_traffic w.base_none.Pipeline.energy);
+          (* 1 while the width-aware slots beat naive 8-byte ones (or
+             nothing spills): losing that win regresses, whatever the
+             byte totals do. *)
+          row "spill" (key "spill_width_win") (Worse_down 0.0)
+            (if
+               w.spill_slots_naive_bytes = 0
+               || w.spill_slots_bytes < w.spill_slots_naive_bytes
+             then 1.0
+             else 0.0) ])
+  @ List.concat_map
+      (fun (name, ab) ->
+        let key m = name ^ "/" ^ m in
+        [ row "analyze" (key "analyze_visits") Exact
+            (float_of_int ab.ab_visits);
+          row "analyze" (key "analyze_rounds") Exact
+            (float_of_int ab.ab_rounds);
+          row "analyze" (key "analyze_seconds") (Time time_tolerance)
+            ab.ab_seconds ])
+      t.analyze
+  @
+  match t.fleet with
+  | None -> []
+  | Some fb ->
+    (* Zero failed submissions through the kill is the fleet's
+       contract; a run of another size must be re-blessed. *)
+    [ row "fleet" "*/shards" Exact (float_of_int fb.fb_shards);
+      row "fleet" "*/requests" Exact (float_of_int fb.fb_requests);
+      row "fleet" "*/failed" Exact (float_of_int fb.fb_failed);
+      row "fleet" "*/fleet_p50_ms" (Time time_tolerance) fb.fb_p50_ms;
+      row "fleet" "*/fleet_p95_ms" (Time time_tolerance) fb.fb_p95_ms ]
+
+let format_name = "ogc-results"
+let format_version = 2
+let row_name r = r.series ^ "/" ^ r.key
+
+let rows_to_json ~phases rows =
+  Json.Obj
     [
-      {
-        r_workload = "*";
-        r_config = "mode";
-        r_metric = "quick";
-        r_baseline = (if baseline.quick then 1.0 else 0.0);
-        r_current = (if current.quick then 1.0 else 0.0);
-        r_delta_frac = 1.0;
-      };
+      ("format", Json.Str format_name);
+      ("version", Json.Int format_version);
+      ( "rows",
+        Json.Obj (List.map (fun r -> (row_name r, Json.Float r.value)) rows) );
+      ("phases", Json.Obj (List.map (fun (n, s) -> (n, Json.Float s)) phases));
     ]
-  else
-    List.concat_map
-      (fun (cw : wres) ->
-        match
-          List.find_opt (fun (bw : wres) -> String.equal bw.wname cw.wname)
-            baseline.workloads
-        with
-        | None -> []
-        | Some bw ->
-          let spill_cell metric base cur =
-            (* Growth gate; appearing where there was none (base 0) is
-               flagged outright. *)
-            let delta =
-              if base <= 0.0 then if cur > 0.0 then 1.0 else 0.0
-              else (cur -. base) /. base
-            in
-            if delta > threshold then
-              [
-                {
-                  r_workload = cw.wname;
-                  r_config = "spill";
-                  r_metric = metric;
-                  r_baseline = base;
-                  r_current = cur;
-                  r_delta_frac = delta;
-                };
-              ]
-            else []
-          in
-          spill_cell "spill_slots_bytes"
-            (float_of_int bw.spill_slots_bytes)
-            (float_of_int cw.spill_slots_bytes)
-          @ spill_cell "spill_traffic"
-              (Account.spill_traffic bw.base_none.Pipeline.energy)
-              (Account.spill_traffic cw.base_none.Pipeline.energy)
-          @ (* The width-aware win itself is gated: once a workload's
-               slots are provably narrower than naive 8-byte slots, a
-               change that loses that property regresses, whatever the
-               byte totals do. *)
-          (if
-             bw.spill_slots_bytes < bw.spill_slots_naive_bytes
-             && cw.spill_slots_naive_bytes > 0
-             && cw.spill_slots_bytes >= cw.spill_slots_naive_bytes
-           then
-             [
-               {
-                 r_workload = cw.wname;
-                 r_config = "spill";
-                 r_metric = "spill_width_win";
-                 r_baseline = float_of_int bw.spill_slots_bytes;
-                 r_current = float_of_int cw.spill_slots_bytes;
-                 r_delta_frac = 1.0;
-               };
-             ]
-           else [])
-          @
-          let bcfg = config_stats bw in
-          List.concat_map
-            (fun (cname, cs) ->
-              match List.assoc_opt cname bcfg with
-              | None -> []
-              | Some bs ->
-                let cell metric ~worse base cur =
-                  let delta = worse base cur in
-                  if delta > threshold then
-                    [
-                      {
-                        r_workload = cw.wname;
-                        r_config = cname;
-                        r_metric = metric;
-                        r_baseline = base;
-                        r_current = cur;
-                        r_delta_frac = delta;
-                      };
-                    ]
-                  else []
-                in
-                (* Energy is worse when it grows, IPC when it drops. *)
-                cell "energy_nj"
-                  ~worse:(fun b c -> if b <= 0.0 then 0.0 else (c -. b) /. b)
-                  (Account.total bs.Pipeline.energy)
-                  (Account.total cs.Pipeline.energy)
-                @ cell "ipc"
-                    ~worse:(fun b c -> if b <= 0.0 then 0.0 else (b -. c) /. b)
-                    (Pipeline.ipc bs) (Pipeline.ipc cs))
-            (config_stats cw))
-      current.workloads
-    @ (* Analyze-throughput series: visit counts are deterministic and
-         gated at the strict threshold; wall time is noisy and gets its
-         own (looser) tolerance. *)
-    List.concat_map
-      (fun (name, ca) ->
-        match List.assoc_opt name baseline.analyze with
-        | None -> []
-        | Some ba ->
-          let cell metric tol base cur =
-            let delta = if base <= 0.0 then 0.0 else (cur -. base) /. base in
-            if delta > tol then
-              [
-                {
-                  r_workload = name;
-                  r_config = "analyze";
-                  r_metric = metric;
-                  r_baseline = base;
-                  r_current = cur;
-                  r_delta_frac = delta;
-                };
-              ]
-            else []
-          in
-          cell "analyze_visits" threshold
-            (float_of_int ba.ab_visits)
-            (float_of_int ca.ab_visits)
-          @ cell "analyze_seconds" time_tolerance ba.ab_seconds ca.ab_seconds)
-      current.analyze
-    @ (* Fleet series: failed submissions are gated exactly (any failed
-         request regresses the zero-failure criterion); client-observed
-         latency percentiles are wall time and get the loose tolerance.
-         Only comparable runs (same shard and request counts) compare. *)
-    (match (baseline.fleet, current.fleet) with
-    | Some bf, Some cf
-      when bf.fb_shards = cf.fb_shards && bf.fb_requests = cf.fb_requests ->
-      let cell metric tol base cur =
-        let delta = if base <= 0.0 then 0.0 else (cur -. base) /. base in
-        if delta > tol then
-          [
-            {
-              r_workload = "*";
-              r_config = "fleet";
-              r_metric = metric;
-              r_baseline = base;
-              r_current = cur;
-              r_delta_frac = delta;
-            };
-          ]
-        else []
-      in
-      (if cf.fb_failed > bf.fb_failed then
-         [
-           {
-             r_workload = "*";
-             r_config = "fleet";
-             r_metric = "failed";
-             r_baseline = float_of_int bf.fb_failed;
-             r_current = float_of_int cf.fb_failed;
-             r_delta_frac = 1.0;
-           };
-         ]
-       else [])
-      @ cell "fleet_p50_ms" time_tolerance bf.fb_p50_ms cf.fb_p50_ms
-      @ cell "fleet_p95_ms" time_tolerance bf.fb_p95_ms cf.fb_p95_ms
-    | _ -> [])
+
+let rows_of_json j =
+  (match Json.member "format" j with
+  | Json.Str f when String.equal f format_name -> ()
+  | _ -> raise (Json.Parse_error "not an ogc-results file"));
+  (match Json.get_int "version" j with
+  | v when v = format_version -> ()
+  | v ->
+    raise
+      (Json.Parse_error
+         (Printf.sprintf
+            "results format version %d, expected %d; re-bless it with \
+             scripts/bless-baseline.sh"
+            v format_version)));
+  match Json.member "rows" j with
+  | Json.Obj kvs as rows ->
+    List.map (fun (k, _) -> (k, Json.get_float k rows)) kvs
+  | _ -> raise (Json.Parse_error "rows: expected an object")
+
+(* --- regression comparison --------------------------------------------------- *)
+
+type regression = {
+  r_workload : string;
+  r_config : string;
+  r_metric : string;
+  r_baseline : float;
+  r_current : float;
+  r_delta_frac : float;
+}
+
+(* How much worse [cur] is than [base] under [gate], when that fires. *)
+let worse gate ~base ~cur =
+  match gate with
+  | Exact ->
+    if Float.equal base cur then None
+    else Some (if base = 0.0 then 1.0 else Float.abs ((cur -. base) /. base))
+  | Worse_up tol | Time tol ->
+    (* Growth from zero has no ratio; it counts as 100%. *)
+    let d =
+      if base > 0.0 then (cur -. base) /. base
+      else if cur > base then 1.0
+      else 0.0
+    in
+    if d > tol then Some d else None
+  | Worse_down tol ->
+    let d = if base > 0.0 then (base -. cur) /. base else 0.0 in
+    if d > tol then Some d else None
+
+let compare_rows ~baseline current =
+  let regression r base delta =
+    (* Keys are "workload/metric" or "workload/config/metric"; the
+       series names the config when the key does not. *)
+    let i = String.index r.key '/' and j = String.rindex r.key '/' in
+    {
+      r_workload = String.sub r.key 0 i;
+      r_config =
+        (if i = j then r.series else String.sub r.key (i + 1) (j - i - 1));
+      r_metric = String.sub r.key (j + 1) (String.length r.key - j - 1);
+      r_baseline = base;
+      r_current = r.value;
+      r_delta_frac = delta;
+    }
+  in
+  let regs =
+    List.filter_map
+      (fun r ->
+        match List.assoc_opt (row_name r) baseline with
+        | None -> Some (regression r Float.nan 1.0)
+        | Some base ->
+          Option.map (regression r base) (worse r.gate ~base ~cur:r.value))
+      current
+  in
+  (* A quick run against a full baseline (or back) compares nothing else:
+     one loud mode row instead of a wall of incomparable cells. *)
+  match List.filter (fun g -> g.r_config = "mode") regs with
+  | [] -> regs
+  | mode -> mode
 
 let render_regressions = function
   | [] -> "no regressions\n"
@@ -944,15 +761,40 @@ let render_regressions = function
       ~header:[ "Workload"; "Config"; "Metric"; "baseline"; "current"; "worse by" ]
       (List.map
          (fun r ->
+           let missing = Float.is_nan r.r_baseline in
            [
              r.r_workload;
              r.r_config;
              r.r_metric;
-             Printf.sprintf "%.4g" r.r_baseline;
+             (if missing then "missing"
+              else Printf.sprintf "%.4g" r.r_baseline);
              Printf.sprintf "%.4g" r.r_current;
-             Render.pct r.r_delta_frac;
+             (if missing then "-" else Render.pct r.r_delta_frac);
            ])
          rs)
+
+let write_json path ~phases t =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string (rows_to_json ~phases (gated t))))
+
+let baseline_gate path =
+  let baseline =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error msg ->
+      Printf.eprintf "cannot read baseline: %s\n%!" msg;
+      exit 66
+    | src -> (
+      try rows_of_json (Json.of_string src)
+      with Json.Parse_error msg ->
+        Printf.eprintf "bad baseline %s: %s\n%!" path msg;
+        exit 65)
+  in
+  fun t ->
+    let regs = compare_rows ~baseline (gated t) in
+    print_string
+      (Render.heading (Printf.sprintf "Regression check vs %s" path));
+    print_string (render_regressions regs);
+    if regs <> [] then exit 3
 
 (* --- aggregation ---------------------------------------------------------- *)
 

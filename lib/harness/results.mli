@@ -150,58 +150,103 @@ val collect_timed :
 
 (** {1 Serialization}
 
-    A hand-rolled JSON form of a whole collection, stable enough to be
-    diffed across commits: object members are emitted in a fixed order,
-    numeric tables are sorted, and floats round-trip exactly.
-    [of_json (to_json t)] reconstructs [t] up to the energy-parameter
-    closures (rebuilt as {!Ogc_energy.Energy_params.default}), which the
-    renderers never consult. *)
+    [to_json] is the whole collection as JSON, stable enough to hash and
+    diff: object members come in a fixed order, numeric tables are
+    sorted, and floats print exactly.  It is not a file format — the
+    [--json] files carry {!row}s — but each workload's share of it,
+    timings scrubbed, is hashed into that workload's [digest] row. *)
 
 val to_json : t -> Ogc_json.Json.t
-val of_json : Ogc_json.Json.t -> t
-(** Raises [Ogc_json.Json.Parse_error] on a malformed or wrong-format
-    tree. *)
 
-(** {1 Regression comparison}
+val without_timings : t -> t
+(** The collection with the analyze wall times zeroed: what must be
+    byte-identical across runs and [--jobs] values. *)
 
-    CI calls this with the checked-in baseline JSON to guard the perf
-    trajectory: modelled energy must not grow and modelled IPC must not
-    drop by more than a threshold on any (workload, binary version)
-    cell. *)
+(** {1 Gated rows}
+
+    Everything the regression gate compares is one flat list of scalar
+    rows, each carrying its own gate.  [bench --json] and
+    [ogc report --json] write them (one line per row, plus the phase
+    timings), and [--baseline] reads them back. *)
+
+type gate =
+  | Exact  (** any change regresses *)
+  | Worse_up of float
+      (** regresses when the value grows by more than this fraction;
+          growth from zero counts as 100% *)
+  | Worse_down of float
+      (** regresses when the value drops by more than this fraction *)
+  | Time of float
+      (** a wall-clock [Worse_up], with a tolerance loose enough for
+          shared runners *)
+
+type row = {
+  series : string;
+      (** ["mode"], ["digest"], ["cell"], ["spill"], ["analyze"] or
+          ["fleet"] *)
+  key : string;
+      (** ["workload/metric"] or ["workload/config/metric"]; the
+          workload is ["*"] for run-wide rows *)
+  value : float;
+  gate : gate;
+}
+
+val gated : t -> row list
+(** The rows of a collection:
+    - [mode]: whether it is a quick run ([Exact]);
+    - [digest]: per workload, 48 bits of the MD5 of its {!to_json}
+      share under {!without_timings} ([Exact]) — one line that moves
+      whenever any of the workload's output does;
+    - [cell]: per (workload, binary version), modelled energy (worse
+      up) and IPC (worse down), 5%;
+    - [spill]: per workload, width-aware slot bytes and baseline spill
+      traffic (worse up, 5%), and [spill_width_win] — 1 while the slots
+      are narrower than naive 8-byte slots or nothing spills — which
+      may not drop;
+    - [analyze]: per workload, the fixpoint visit and round counts
+      ([Exact]) and the analyze wall seconds ([Time], 200%);
+    - [fleet], when a fleet burst ran: shard, request and failed
+      counts ([Exact]) and p50/p95 latency ([Time], 200%). *)
+
+val rows_to_json : phases:(string * float) list -> row list -> Ogc_json.Json.t
+(** Format [ogc-results] version 2: [rows] maps ["series/key"] to the
+    value, and [phases] holds per-phase wall seconds, which nothing
+    gates. *)
+
+val rows_of_json : Ogc_json.Json.t -> (string * float) list
+(** The ["series/key"] values of a {!rows_to_json} tree.  Raises
+    [Ogc_json.Json.Parse_error] on anything else, including files of an
+    older format version, whose message says to re-bless. *)
+
+val write_json : string -> phases:(string * float) list -> t -> unit
+(** Write {!gated} rows and [phases] to a file (the [--json] output). *)
+
+(** {1 Regression comparison} *)
 
 type regression = {
   r_workload : string;
-  r_config : string;  (** e.g. "vrp_sw", "vrs50", "spill" *)
-  r_metric : string;
-      (** "energy_nj", "ipc", or a spill metric ("spill_slots_bytes",
-          "spill_traffic", "spill_width_win") *)
-  r_baseline : float;
+  r_config : string;  (** e.g. "vrp_sw", "vrs50", "spill", "fleet" *)
+  r_metric : string;  (** e.g. "energy_nj", "ipc", "analyze_visits" *)
+  r_baseline : float;  (** [nan] when the baseline lacks the row *)
   r_current : float;
-  r_delta_frac : float;  (** fractional worsening, always >= 0 *)
+  r_delta_frac : float;  (** fractional worsening *)
 }
 
-val compare_to_baseline :
-  time_tolerance:float ->
-  baseline:t -> current:t -> threshold:float -> regression list
-(** Cells worse than [baseline] by more than [threshold] (a fraction,
-    e.g. [0.05]): higher total energy or lower IPC.  Only workloads and
-    VRS labels present in both collections are compared; a [quick] /
-    full mode mismatch compares nothing and reports a single pseudo
-    regression on the ["mode"] cell so CI fails loudly instead of
-    vacuously passing.  The analyze-throughput series is also gated:
-    fixpoint visit counts (deterministic) against [threshold], analyze
-    wall seconds (noisy) against [time_tolerance] ([0.5] means 50%
-    slower than baseline fails).  The spill series gates growth of
-    static width-aware slot bytes and of baseline spill traffic per
-    workload against [threshold] (spilling appearing where the baseline
-    had none is flagged outright), and additionally regresses when a
-    workload whose baseline slots were strictly narrower than naive
-    8-byte slots loses that property.  The fleet series, when both
-    collections carry comparable runs (same shard and request counts),
-    gates failed submissions exactly — any increase regresses — and the
-    p50/p95 latencies against [time_tolerance]. *)
+val compare_rows : baseline:(string * float) list -> row list -> regression list
+(** The rows whose gate fires against the baseline value of the same
+    ["series/key"].  A row the baseline lacks is reported as missing
+    rather than skipped; baseline rows the current run lacks (say, a run
+    restricted with [--only]) are ignored.  A quick/full mismatch
+    reports only the [mode] row. *)
 
 val render_regressions : regression list -> string
+
+val baseline_gate : string -> t -> unit
+(** [baseline_gate path] reads a [--json] file as the baseline at once,
+    so a bad one fails before any collection: exit 66 when it cannot be
+    read, 65 when it is not a version-2 results file.  Applied to the
+    current collection, it prints the regression table of its
+    {!gated} rows and exits 3 if any regressed. *)
 
 (** {1 Aggregation helpers} *)
 

@@ -673,7 +673,13 @@ let handle_conn t fd =
          flush oc
        | exception (End_of_file | Sys_error _) -> continue := false
      done
-   with _ -> ());
+   with e ->
+     (* Typically the reply write: the client hung up before its answer
+        was ready (SIGPIPE is ignored, so that is a [Sys_error]). *)
+     Log.warn "ogc-serve: connection dropped"
+       ~fields:
+         [ ("addr", J.Str (addr_string t.cfg.addr));
+           ("error", J.Str (Printexc.to_string e)) ]);
   locked t (fun () ->
       t.conns <- List.filter (fun c -> c != fd) t.conns);
   try Unix.close fd with Unix.Unix_error _ -> ()

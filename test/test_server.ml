@@ -497,6 +497,61 @@ let test_sigint_drains () =
       Alcotest.(check bool) "socket unlinked after SIGINT" false
         (Sys.file_exists path))
 
+(* --- connection errors ---------------------------------------------------- *)
+
+(* A client that hangs up before its (deliberately slowed) analyze is
+   answered makes the reply write fail; the server must say so at warn
+   level instead of dropping the connection silently. *)
+let test_dropped_connection_logged () =
+  let lines = ref [] and m = Mutex.create () in
+  Ogc_obs.Log.set_level Ogc_obs.Log.Warn;
+  Ogc_obs.Log.set_sink (fun l ->
+      Mutex.protect m (fun () -> lines := l :: !lines));
+  Fun.protect
+    ~finally:(fun () ->
+      Ogc_obs.Log.set_sink prerr_endline;
+      Ogc_obs.Log.set_level Ogc_obs.Log.Error)
+  @@ fun () ->
+  let path = sock_path () in
+  let t =
+    Server.create
+      { (Server.default_config (Server.Unix_sock path)) with
+        jobs = Some 1;
+        inject_slow_ms = Some 200.0 }
+  in
+  let th = Thread.create Server.run t in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop t;
+      Thread.join th)
+  @@ fun () ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let line = analyze_req () ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  Unix.close fd;
+  let dropped () =
+    Mutex.protect m (fun () ->
+        List.find_opt
+          (fun l ->
+            J.member "msg" (J.of_string l)
+            = J.Str "ogc-serve: connection dropped")
+          !lines)
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while dropped () = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.02
+  done;
+  match dropped () with
+  | None -> Alcotest.fail "no warn line for the dropped connection"
+  | Some l ->
+    let j = J.of_string l in
+    Alcotest.(check string) "level" "warn" (J.get_string "level" j);
+    Alcotest.(check string) "listener address" path (J.get_string "addr" j);
+    Alcotest.(check string) "names the failed write"
+      (Printexc.to_string (Sys_error "Broken pipe"))
+      (J.get_string "error" j)
+
 (* --- Prog_json round-trip --------------------------------------------------- *)
 
 let roundtrip_ok src =
@@ -566,7 +621,9 @@ let () =
       ("drain",
        [ Alcotest.test_case "stop drains cleanly" `Quick test_stop_drains;
          Alcotest.test_case "SIGINT drains cleanly" `Quick
-           test_sigint_drains ]);
+           test_sigint_drains;
+         Alcotest.test_case "dropped connection is logged" `Quick
+           test_dropped_connection_logged ]);
       ("prog-json",
        [ qt prop_prog_json_roundtrip;
          Alcotest.test_case "workloads round-trip" `Quick
