@@ -105,6 +105,7 @@ let quick = opts.quick
    request count is fixed so baseline runs stay comparable. *)
 let run_fleet_bench () =
   let module Server = Ogc_server.Server in
+  let module Net = Ogc_net.Net in
   let module Router = Ogc_fleet.Router in
   let module Loadgen = Ogc_fleet.Loadgen in
   let sock i =
@@ -117,7 +118,7 @@ let run_fleet_bench () =
         let path = sock i in
         if Sys.file_exists path then Sys.remove path;
         let cfg =
-          { (Server.default_config (Server.Unix_sock path)) with
+          { (Server.default_config (Net.Unix_sock path)) with
             jobs = Some 1 }
         in
         let t = Server.create cfg in
@@ -128,17 +129,17 @@ let run_fleet_bench () =
   if Sys.file_exists rpath then Sys.remove rpath;
   let targets =
     List.map
-      (fun (n, p, _, _) -> { Router.t_name = n; t_addr = Server.Unix_sock p })
+      (fun (n, p, _, _) -> { Router.t_name = n; t_addr = Net.Unix_sock p })
       shards
   in
   let router =
-    Router.create (Router.default_config ~addr:(Server.Unix_sock rpath)
+    Router.create (Router.default_config ~addr:(Net.Unix_sock rpath)
                      ~shards:targets)
   in
   let rth = Thread.create Router.run router in
   let requests = 240 in
   let lcfg =
-    { (Loadgen.default_config ~addr:(Server.Unix_sock rpath)) with
+    { (Loadgen.default_config ~addr:(Net.Unix_sock rpath)) with
       requests;
       clients = 3;
       retries = 8 }

@@ -335,20 +335,7 @@ let diff_cmd =
 
 (* --- trace ------------------------------------------------------------------- *)
 
-(* ADDR is a Unix socket path, or HOST:PORT when the suffix parses as a
-   port and the string has no '/' (same grammar as router --shard). *)
-let parse_addr spec =
-  if String.contains spec '/' then Ogc_server.Server.Unix_sock spec
-  else
-    match String.rindex_opt spec ':' with
-    | Some i -> (
-      let host = String.sub spec 0 i
-      and port = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match int_of_string_opt port with
-      | Some port ->
-        Ogc_server.Server.Tcp ((if host = "" then "127.0.0.1" else host), port)
-      | None -> Ogc_server.Server.Unix_sock spec)
-    | None -> Ogc_server.Server.Unix_sock spec
+module Net = Ogc_net.Net
 
 let trace_cmd =
   let count =
@@ -407,31 +394,20 @@ let trace_cmd =
      with a process track each.  A single serve answers with its bare
      export document — treated as a one-process fleet. *)
   let run_fleet_trace spec out =
-    let domain, sockaddr =
-      match parse_addr spec with
-      | Ogc_server.Server.Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-      | Ogc_server.Server.Tcp (host, port) ->
-        (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+    let c =
+      try Net.connect (Net.parse_addr spec)
+      with Unix.Unix_error (e, _, _) ->
+        Fmt.failwith "cannot reach %s: %s (is the router up?)" spec
+          (Unix.error_message e)
     in
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    @@ fun () ->
-    (try Unix.connect fd sockaddr
-     with Unix.Unix_error (e, _, _) ->
-       Fmt.failwith "cannot reach %s: %s (is the router up?)" spec
-         (Unix.error_message e));
-    let oc = Unix.out_channel_of_descr fd in
-    let ic = Unix.in_channel_of_descr fd in
-    output_string oc
-      (Json.to_string ~indent:false
-         (Json.Obj
-            [ ("proto", Json.Int Ogc_server.Protocol.proto_version);
-              ("op", Json.Str "trace") ]));
-    output_char oc '\n';
-    flush oc;
     let line =
-      try input_line ic
+      Fun.protect ~finally:(fun () -> Net.close c) @@ fun () ->
+      try
+        Net.call c
+          (Json.to_string ~indent:false
+             (Json.Obj
+                [ ("proto", Json.Int Ogc_server.Protocol.proto_version);
+                  ("op", Json.Str "trace") ]))
       with End_of_file -> Fmt.failwith "server closed the connection"
     in
     let j = Json.of_string line in
@@ -601,25 +577,23 @@ let addr_term =
          & info [ "socket" ] ~docv:"PATH"
              ~doc:"Unix-domain socket to serve on / connect to.")
   in
+  let tcp_addr =
+    let parse spec =
+      match Net.parse_addr spec with
+      | Net.Tcp _ as a -> Ok a
+      | Net.Unix_sock _ ->
+        Error (`Msg (Fmt.str "expected HOST:PORT, got %S" spec))
+    in
+    Arg.conv (parse, fun ppf a -> Fmt.string ppf (Net.addr_string a))
+  in
   let tcp =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some tcp_addr) None
          & info [ "tcp" ] ~docv:"HOST:PORT"
              ~doc:"Serve on / connect to a TCP address instead of the Unix \
-                   socket.")
+                   socket.  HOST may be a name or a numeric address; \
+                   $(b,:PORT) means 127.0.0.1.")
   in
-  let combine socket tcp =
-    match tcp with
-    | None -> Server.Unix_sock socket
-    | Some spec -> (
-      match String.rindex_opt spec ':' with
-      | Some i -> (
-        let host = String.sub spec 0 i
-        and port = String.sub spec (i + 1) (String.length spec - i - 1) in
-        match int_of_string_opt port with
-        | Some port -> Server.Tcp ((if host = "" then "127.0.0.1" else host), port)
-        | None -> Fmt.failwith "bad --tcp %S (expected HOST:PORT)" spec)
-      | None -> Fmt.failwith "bad --tcp %S (expected HOST:PORT)" spec)
-  in
+  let combine socket tcp = Option.value tcp ~default:(Net.Unix_sock socket) in
   Term.(const combine $ socket $ tcp)
 
 let serve_cmd =
@@ -914,67 +888,40 @@ let submit_cmd =
         Option.iter (fun i -> add "id" (Json.Str i)) id;
         Option.iter (fun tr -> add "trace_id" (Json.Str tr)) trace_id;
         let request = Json.to_string ~indent:false (Json.Obj (List.rev !fields)) in
-        let connect_once () =
-          let domain, sockaddr =
-            match addr with
-            | Server.Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-            | Server.Tcp (host, port) ->
-              (Unix.PF_INET,
-               Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-          in
-          let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-          try
-            Unix.set_nonblock fd;
-            (try Unix.connect fd sockaddr with
-            | Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
-              match
-                Unix.select [] [ fd ] []
-                  (float_of_int connect_timeout /. 1000.0)
-              with
-              | _, [ _ ], _ -> (
-                match Unix.getsockopt_error fd with
-                | None -> ()
-                | Some e -> raise (Unix.Unix_error (e, "connect", "")))
-              | _ -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))));
-            Unix.clear_nonblock fd;
-            fd
-          with e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            raise e
-        in
-        (* Jittered exponential backoff over connect failures: a fleet
-           smoke test may race its shards' startup, and N synchronized
-           clients must not retry in lockstep. *)
+        (* Retry connect failures with backoff: a fleet smoke test may
+           race its shards' startup. *)
         let rs = Random.State.make_self_init () in
         let rec connect_retry attempt =
-          match connect_once () with
-          | fd -> fd
+          match Net.connect ~timeout_ms:connect_timeout addr with
+          | c -> c
           | exception Unix.Unix_error (e, _, _) when attempt < retries ->
-            let d =
-              0.05 *. (2.0 ** float_of_int attempt)
-              *. (0.5 +. Random.State.float rs 1.0)
-            in
+            let d = Net.backoff rs attempt in
             Log.debug "submit: retrying connect"
               ~fields:
                 [ ("error", Json.Str (Unix.error_message e));
                   ("delay_s", Json.Float d) ];
-            Unix.sleepf (Float.min 2.0 d);
+            Unix.sleepf d;
             connect_retry (attempt + 1)
           | exception Unix.Unix_error (e, _, _) ->
             Fmt.failwith "cannot reach the server: %s (is `ogc serve` up?)"
               (Unix.error_message e)
         in
-        let fd = connect_retry 0 in
-        let oc = Unix.out_channel_of_descr fd in
-        let ic = Unix.in_channel_of_descr fd in
-        output_string oc request;
-        output_char oc '\n';
-        flush oc;
+        let c = connect_retry 0 in
+        Net.ignore_sigpipe ();
         let line =
-          try input_line ic
-          with End_of_file -> Fmt.failwith "server closed the connection"
+          Fun.protect ~finally:(fun () -> Net.close c) @@ fun () ->
+          match Net.call c request with
+          | line -> line
+          | exception End_of_file ->
+            Fmt.failwith "server closed the connection"
+          | exception Sys_error e -> (
+            (* A server that refuses a request line (too long) answers
+               and closes before reading all of it: the write fails, the
+               answer is still there to read. *)
+            try input_line c.Net.ic
+            with End_of_file | Sys_error _ ->
+              Fmt.failwith "server closed the connection: %s" e)
         in
-        Unix.close fd;
         if raw then print_endline line
         else if metrics then
           (* The exposition member is already text/plain; print it as-is
@@ -1003,9 +950,8 @@ let submit_cmd =
 module Router = Ogc_fleet.Router
 module Loadgen = Ogc_fleet.Loadgen
 
-(* A shard spec is [NAME=ADDR] (or bare [ADDR], auto-named by position);
-   ADDR is a Unix socket path, or HOST:PORT when the suffix parses as a
-   port and the string has no '/'. *)
+(* A shard spec is [NAME=ADDR] (or bare [ADDR], auto-named by position),
+   ADDR in {!Net.parse_addr}'s grammar. *)
 let parse_shard idx spec =
   let name, addr_spec =
     match String.index_opt spec '=' with
@@ -1014,22 +960,7 @@ let parse_shard idx spec =
         String.sub spec (i + 1) (String.length spec - i - 1) )
     | None -> (Printf.sprintf "shard%d" idx, spec)
   in
-  let addr =
-    if String.contains addr_spec '/' then Server.Unix_sock addr_spec
-    else
-      match String.rindex_opt addr_spec ':' with
-      | Some i -> (
-        let host = String.sub addr_spec 0 i
-        and port =
-          String.sub addr_spec (i + 1) (String.length addr_spec - i - 1)
-        in
-        match int_of_string_opt port with
-        | Some port ->
-          Server.Tcp ((if host = "" then "127.0.0.1" else host), port)
-        | None -> Server.Unix_sock addr_spec)
-      | None -> Server.Unix_sock addr_spec
-  in
-  { Router.t_name = name; t_addr = addr }
+  { Router.t_name = name; t_addr = Net.parse_addr addr_spec }
 
 let router_cmd =
   let shards =

@@ -1,11 +1,11 @@
 module J = Ogc_json.Json
-module Server = Ogc_server.Server
+module Net = Ogc_net.Net
 module Protocol = Ogc_server.Protocol
 module Pool = Ogc_exec.Pool
 module Metrics = Ogc_obs.Metrics
 
 type config = {
-  addr : Server.addr;
+  addr : Net.addr;
   requests : int;
   clients : int;
   warm_ratio : float;
@@ -14,8 +14,6 @@ type config = {
   programs : int;
   seed : int;
   retries : int;
-  connect_timeout_ms : int;
-  backoff_ms : int;
   trace_sample : int;
 }
 
@@ -29,8 +27,6 @@ let default_config ~addr =
     programs = 6;
     seed = 42;
     retries = 5;
-    connect_timeout_ms = 1000;
-    backoff_ms = 50;
     trace_sample = 0 }
 
 type report = {
@@ -149,52 +145,6 @@ let percentile_of_counts ~before ~after q =
 
 (* --- client side ----------------------------------------------------------- *)
 
-let sockaddr_of = function
-  | Server.Unix_sock path -> Unix.ADDR_UNIX path
-  | Server.Tcp (host, port) ->
-    let ip =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (
-        match Unix.gethostbyname host with
-        | { Unix.h_addr_list = [||]; _ } -> Fmt.failwith "cannot resolve %s" host
-        | h -> h.Unix.h_addr_list.(0)
-        | exception Not_found -> Fmt.failwith "cannot resolve %s" host)
-    in
-    Unix.ADDR_INET (ip, port)
-
-type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
-
-let connect cfg =
-  let domain =
-    match cfg.addr with
-    | Server.Unix_sock _ -> Unix.PF_UNIX
-    | Server.Tcp _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  try
-    Unix.set_nonblock fd;
-    (try Unix.connect fd (sockaddr_of cfg.addr) with
-    | Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
-      let dt = float_of_int cfg.connect_timeout_ms /. 1000.0 in
-      match Unix.select [] [ fd ] [] dt with
-      | _, [ _ ], _ -> (
-        match Unix.getsockopt_error fd with
-        | None -> ()
-        | Some e -> raise (Unix.Unix_error (e, "connect", "")))
-      | _ -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))));
-    Unix.clear_nonblock fd;
-    { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
-  with e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e
-
-let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let backoff cfg rs attempt =
-  let base = float_of_int cfg.backoff_ms /. 1000.0 in
-  let d = base *. (2.0 ** float_of_int attempt) in
-  Float.min 2.0 (d *. (0.5 +. Random.State.float rs 1.0))
-
 type tally = {
   mutable c_ok : int;
   mutable c_failed : int;
@@ -215,12 +165,12 @@ let client cfg ~completed ~kill c_idx =
     match !conn with
     | Some c -> c
     | None ->
-      let c = connect cfg in
+      let c = Net.connect cfg.addr in
       conn := Some c;
       c
   in
   let drop_conn () =
-    Option.iter close_conn !conn;
+    Option.iter Net.close !conn;
     conn := None
   in
   let submit line =
@@ -229,17 +179,11 @@ let client cfg ~completed ~kill c_idx =
         if n >= cfg.retries then false
         else begin
           tally.c_retried <- tally.c_retried + 1;
-          Unix.sleepf (backoff cfg rs n);
+          Unix.sleepf (Net.backoff rs n);
           attempt (n + 1)
         end
       in
-      match
-        let c = get_conn () in
-        output_string c.oc line;
-        output_char c.oc '\n';
-        flush c.oc;
-        input_line c.ic
-      with
+      match Net.call (get_conn ()) line with
       | exception _ ->
         drop_conn ();
         retry ()
@@ -284,7 +228,7 @@ let client cfg ~completed ~kill c_idx =
 let run ?kill cfg =
   (* A shard kill mid-run closes sockets under our clients; the write
      must fail with EPIPE (and be retried), not kill the process. *)
-  Server.ignore_sigpipe ();
+  Net.ignore_sigpipe ();
   let clients = max 1 cfg.clients in
   let was_enabled = Metrics.enabled () in
   Metrics.set_enabled true;

@@ -12,8 +12,8 @@
     program identity exercises chain-prefix artifact reuse exactly like
     the paper's cost sweep.
 
-    Failures are retried with jittered exponential backoff ([retries]
-    attempts per submission, reconnecting on connection errors);
+    Failures are retried with {!Ogc_net.Net.backoff} ([retries] attempts
+    per submission, reconnecting on connection errors);
     [overloaded] and [unavailable] replies count as retryable.  A
     submission is {e failed} only when its retry budget is exhausted —
     the fleet-smoke criterion "kill one shard mid-run, zero failed
@@ -27,7 +27,7 @@
     after). *)
 
 type config = {
-  addr : Ogc_server.Server.addr;
+  addr : Ogc_net.Net.addr;
   requests : int;
   clients : int;  (** parallel connections / worker domains *)
   warm_ratio : float;  (** probability a request replays an earlier one *)
@@ -36,18 +36,15 @@ type config = {
   programs : int;  (** distinct synthetic MiniC programs *)
   seed : int;
   retries : int;  (** attempts per submission before counting it failed *)
-  connect_timeout_ms : int;
-  backoff_ms : int;  (** base of the jittered exponential backoff *)
   trace_sample : int;
       (** stamp every [n]th submission with a deterministic ["trace_id"]
           (0 = never).  Trace members are excluded from cache and route
           keys, so sampling never changes placement or hit rates. *)
 }
 
-val default_config : addr:Ogc_server.Server.addr -> config
+val default_config : addr:Ogc_net.Net.addr -> config
 (** 200 requests, 4 clients, [warm_ratio = 0.5], cost sweep on, no
-    workloads, 6 programs, [seed = 42], 5 retries, 1s connect timeout,
-    50ms backoff base, no trace sampling. *)
+    workloads, 6 programs, [seed = 42], 5 retries, no trace sampling. *)
 
 type report = {
   total : int;

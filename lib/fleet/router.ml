@@ -6,11 +6,12 @@ module Metrics = Ogc_obs.Metrics
 module Log = Ogc_obs.Log
 module Span = Ogc_obs.Span
 module Flight = Ogc_obs.Flight
+module Net = Ogc_net.Net
 
-type target = { t_name : string; t_addr : Server.addr }
+type target = { t_name : string; t_addr : Net.addr }
 
 type config = {
-  addr : Server.addr;
+  addr : Net.addr;
   shards : target list;
   vnodes : int;
   pool_size : int;
@@ -18,7 +19,6 @@ type config = {
   replicas : int;
   promote_after : int;
   hedge_ms : float option;
-  connect_timeout_ms : int;
   request_timeout_ms : int;
 }
 
@@ -31,79 +31,33 @@ let default_config ~addr ~shards =
     replicas = 2;
     promote_after = 3;
     hedge_ms = None;
-    connect_timeout_ms = 1000;
     request_timeout_ms = 30_000 }
-
-let sockaddr_of = function
-  | Server.Unix_sock path -> Unix.ADDR_UNIX path
-  | Server.Tcp (host, port) ->
-    let ip =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (
-        match Unix.gethostbyname host with
-        | { Unix.h_addr_list = [||]; _ } -> Fmt.failwith "cannot resolve %s" host
-        | h -> h.Unix.h_addr_list.(0)
-        | exception Not_found -> Fmt.failwith "cannot resolve %s" host)
-    in
-    Unix.ADDR_INET (ip, port)
 
 (* --- bounded per-shard connection pools ------------------------------------ *)
 
 exception Backpressure
 
-type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
-
 module Conns = struct
   type t = {
-    addr : Server.addr;
+    addr : Net.addr;
     size : int;
     max_waiters : int;
-    connect_timeout_ms : int;
     m : Mutex.t;
     cond : Condition.t;
-    mutable idle : conn list;
+    mutable idle : Net.conn list;
     mutable live : int;  (* connections opened and not yet destroyed *)
     mutable waiters : int;
   }
 
-  let create ~size ~max_waiters ~connect_timeout_ms addr =
+  let create ~size ~max_waiters addr =
     { addr;
       size = max 1 size;
       max_waiters = max 0 max_waiters;
-      connect_timeout_ms;
       m = Mutex.create ();
       cond = Condition.create ();
       idle = [];
       live = 0;
       waiters = 0 }
-
-  (* Non-blocking connect bounded by the configured timeout, so a dead
-     TCP shard costs milliseconds, not a kernel-default SYN retry. *)
-  let connect t =
-    let domain =
-      match t.addr with
-      | Server.Unix_sock _ -> Unix.PF_UNIX
-      | Server.Tcp _ -> Unix.PF_INET
-    in
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    try
-      Unix.set_nonblock fd;
-      (try Unix.connect fd (sockaddr_of t.addr) with
-      | Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
-        let dt = float_of_int t.connect_timeout_ms /. 1000.0 in
-        match Unix.select [] [ fd ] [] dt with
-        | _, [ _ ], _ -> (
-          match Unix.getsockopt_error fd with
-          | None -> ()
-          | Some e -> raise (Unix.Unix_error (e, "connect", "")))
-        | _ -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))));
-      Unix.clear_nonblock fd;
-      { fd;
-        ic = Unix.in_channel_of_descr fd;
-        oc = Unix.out_channel_of_descr fd }
-    with e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e
 
   let acquire t =
     Mutex.lock t.m;
@@ -118,8 +72,9 @@ module Conns = struct
           t.live <- t.live + 1;
           Mutex.unlock t.m;
           (* Connect outside the lock; a slow handshake must not block
-             other acquires that could use an idle connection. *)
-          try connect t
+             other acquires that could use an idle connection.  The
+             connect timeout keeps a dead TCP shard at milliseconds. *)
+          try Net.connect t.addr
           with e ->
             Mutex.lock t.m;
             t.live <- t.live - 1;
@@ -149,7 +104,7 @@ module Conns = struct
   (* For connections in an unknown protocol state (I/O error mid
      request): never return them to the pool. *)
   let destroy t c =
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    Net.close c;
     Mutex.lock t.m;
     t.live <- t.live - 1;
     Condition.signal t.cond;
@@ -161,22 +116,21 @@ module Conns = struct
     t.idle <- [];
     t.live <- t.live - List.length idle;
     Mutex.unlock t.m;
-    List.iter
-      (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-      idle
+    List.iter Net.close idle
 end
 
 (* --- the router ------------------------------------------------------------ *)
 
 type shard = {
   name : string;
-  s_addr : Server.addr;
+  s_addr : Net.addr;
   s_conns : Conns.t;
   mutable down_until : float;  (* cooldown after a failure; 0 = healthy *)
   m_requests : Metrics.counter;
   m_hedges : Metrics.counter;
   m_failovers : Metrics.counter;
   m_puts : Metrics.counter;
+  m_put_failures : Metrics.counter;
   m_seconds : Metrics.histogram;
 }
 
@@ -187,12 +141,9 @@ type t = {
   cfg : config;
   ring : Ring.t;
   shard_tbl : (string * shard) list;  (* ring name -> shard *)
-  listen_fd : Unix.file_descr;
-  stopping : bool Atomic.t;
+  listener : Net.listener;
   started : float;
   m : Mutex.t;  (* guards the mutable fields below *)
-  mutable conns : Unix.file_descr list;
-  mutable threads : Thread.t list;
   mutable requests : int;
   mutable routed : int;
   mutable hedged : int;
@@ -228,7 +179,7 @@ let create cfg =
             s_addr = s.t_addr;
             s_conns =
               Conns.create ~size:cfg.pool_size ~max_waiters:cfg.max_waiters
-                ~connect_timeout_ms:cfg.connect_timeout_ms s.t_addr;
+                s.t_addr;
             down_until = 0.0;
             m_requests =
               Metrics.counter "ogc_router_shard_requests_total"
@@ -242,31 +193,20 @@ let create cfg =
             m_puts =
               Metrics.counter "ogc_router_shard_replica_puts_total"
                 ~labels:[ ("shard", s.t_name) ];
+            m_put_failures =
+              Metrics.counter "ogc_router_shard_replica_put_failures_total"
+                ~labels:[ ("shard", s.t_name) ];
             m_seconds =
               Metrics.histogram "ogc_router_shard_seconds"
                 ~labels:[ ("shard", s.t_name) ] } ))
       cfg.shards
   in
-  let domain =
-    match cfg.addr with
-    | Server.Unix_sock _ -> Unix.PF_UNIX
-    | Server.Tcp _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (match cfg.addr with
-  | Server.Unix_sock path -> if Sys.file_exists path then Unix.unlink path
-  | Server.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
-  Unix.bind fd (sockaddr_of cfg.addr);
-  Unix.listen fd 64;
   { cfg;
     ring;
     shard_tbl;
-    listen_fd = fd;
-    stopping = Atomic.make false;
+    listener = Net.listen ~name:"ogc-router" cfg.addr;
     started = Unix.gettimeofday ();
     m = Mutex.create ();
-    conns = [];
-    threads = [];
     requests = 0;
     routed = 0;
     hedged = 0;
@@ -392,12 +332,7 @@ let launch_attempt cell idx sh ~traced line why =
     | c -> (
       if Metrics.enabled () then Metrics.incr sh.m_requests;
       let t0 = Unix.gettimeofday () in
-      match
-        output_string c.oc line;
-        output_char c.oc '\n';
-        flush c.oc;
-        input_line c.ic
-      with
+      match Net.call c line with
       | resp ->
         Conns.release sh.s_conns c;
         if Metrics.enabled () then
@@ -527,8 +462,8 @@ let bump_hits t key =
       (n, Hashtbl.mem t.promoted key))
 
 (* Push a hot result to the replica shards, off the request path.  A
-   failed put is dropped: replication is a latency optimization, the
-   primary still owns the result. *)
+   failed put is counted and logged, not retried: replication is a
+   latency optimization, the primary still owns the result. *)
 let replicate t ckey rkey result =
   let line =
     J.to_string ~indent:false
@@ -543,22 +478,26 @@ let replicate t ckey rkey result =
     | [] -> []
     | _primary :: replicas -> replicas
   in
+  let failed sh error =
+    if Metrics.enabled () then Metrics.incr sh.m_put_failures;
+    Log.warn "ogc-router: replica put failed"
+      ~fields:[ ("shard", J.Str sh.name); ("error", J.Str error) ]
+  in
   List.iter
     (fun name ->
       let sh = shard_of t name in
       match Conns.acquire sh.s_conns with
-      | exception _ -> ()
+      | exception e -> failed sh (Printexc.to_string e)
       | c -> (
-        match
-          output_string c.oc line;
-          output_char c.oc '\n';
-          flush c.oc;
-          input_line c.ic
-        with
-        | _ ->
+        match Net.call c line with
+        | resp -> (
           Conns.release sh.s_conns c;
-          if Metrics.enabled () then Metrics.incr sh.m_puts
-        | exception _ -> Conns.destroy sh.s_conns c))
+          match J.member "status" (J.of_string resp) with
+          | J.Str "ok" -> if Metrics.enabled () then Metrics.incr sh.m_puts
+          | _ | (exception J.Parse_error _) -> failed sh resp)
+        | exception e ->
+          Conns.destroy sh.s_conns c;
+          failed sh (Printexc.to_string e)))
     targets
 
 let maybe_promote t ckey rkey ~hits resp =
@@ -592,12 +531,7 @@ let pull_shard_trace sh =
         (J.Obj
            [ ("proto", J.Int Protocol.proto_version); ("op", J.Str "trace") ])
     in
-    match
-      output_string c.oc req;
-      output_char c.oc '\n';
-      flush c.oc;
-      input_line c.ic
-    with
+    match Net.call c req with
     | exception _ ->
       Conns.destroy sh.s_conns c;
       None
@@ -702,7 +636,7 @@ let stats_json t =
             (fun (_, sh) ->
               J.Obj
                 [ ("name", J.Str sh.name);
-                  ("addr", J.Str (Server.addr_string sh.s_addr));
+                  ("addr", J.Str (Net.addr_string sh.s_addr));
                   ("down", J.Bool (sh.down_until > now)) ])
             t.shard_tbl)) ]
 
@@ -838,88 +772,24 @@ let handle_line t line =
       f_ts = t0 };
   response
 
-(* --- lifecycle (mirrors Server) -------------------------------------------- *)
+(* --- lifecycle ------------------------------------------------------------ *)
 
-let handle_conn t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  (try
-     let continue = ref true in
-     while !continue do
-       match input_line ic with
-       | "" -> ()
-       | line ->
-         output_string oc (handle_line t (String.trim line));
-         output_char oc '\n';
-         flush oc
-       | exception (End_of_file | Sys_error _) -> continue := false
-     done
-   with e ->
-     Log.warn "ogc-router: connection dropped"
-       ~fields:
-         [ ("addr", J.Str (Server.addr_string t.cfg.addr));
-           ("error", J.Str (Printexc.to_string e)) ]);
-  locked t (fun () -> t.conns <- List.filter (fun c -> c != fd) t.conns);
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    try
-      let domain =
-        match t.cfg.addr with
-        | Server.Unix_sock _ -> Unix.PF_UNIX
-        | Server.Tcp _ -> Unix.PF_INET
-      in
-      let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (sockaddr_of t.cfg.addr)
-       with Unix.Unix_error _ -> ());
-      Unix.close fd
-    with _ -> ()
-  end
+let stop t = Net.stop t.listener
 
 let install_sigint t =
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop t))
 
 let run t =
-  (* Shard connections can die mid-write (a killed shard, a dropped
-     client); that must surface as EPIPE, not kill the router. *)
-  Server.ignore_sigpipe ();
   Server.install_sigusr1 ();
   Log.info "ogc-router: listening"
     ~fields:
       [ ("version", J.Str Version.version);
-        ("addr", J.Str (Server.addr_string t.cfg.addr));
+        ("addr", J.Str (Net.addr_string t.cfg.addr));
         ("shards",
          J.Arr (List.map (fun (n, _) -> J.Str n) t.shard_tbl));
         ("replicas", J.Int t.cfg.replicas) ];
-  let continue = ref true in
-  while !continue do
-    if Atomic.get t.stopping then continue := false
-    else
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-        if Atomic.get t.stopping then begin
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          continue := false
-        end
-        else
-          locked t (fun () ->
-              t.conns <- fd :: t.conns;
-              t.threads <- Thread.create (handle_conn t) fd :: t.threads)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  Log.info "ogc-router: draining" ~fields:[];
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.cfg.addr with
-  | Server.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Server.Tcp _ -> ());
-  let conns, threads = locked t (fun () -> (t.conns, t.threads)) in
-  List.iter
-    (fun fd ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-      with Unix.Unix_error _ -> ())
-    conns;
-  List.iter Thread.join threads;
+  Net.run t.listener (handle_line t) ~on_drain:(fun () ->
+      Log.info "ogc-router: draining" ~fields:[]);
   List.iter (fun (_, sh) -> Conns.close_idle sh.s_conns) t.shard_tbl;
   Log.info "ogc-router: stopped"
     ~fields:

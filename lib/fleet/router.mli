@@ -35,7 +35,9 @@
     pushed ([put]) to the next [replicas - 1] ring successors, and
     subsequent requests for the hot key rotate across the replica set.
     A hedged or failed-over request for a promoted key is then a result
-    cache hit on the replica instead of a recompute.
+    cache hit on the replica instead of a recompute.  A put that fails
+    is logged at warn with the shard and the error, and counted in
+    [ogc_router_shard_replica_put_failures_total{shard}].
 
     Local ops ([ping], [stats], [metrics], [flight]) are answered by the
     router itself; [stats] reports routing counters and per-shard health
@@ -58,10 +60,10 @@
     id, route key, op, hedged flag, outcome, duration); the [flight] op
     returns the ring, and SIGUSR1 dumps it as NDJSON on stderr. *)
 
-type target = { t_name : string; t_addr : Ogc_server.Server.addr }
+type target = { t_name : string; t_addr : Ogc_net.Net.addr }
 
 type config = {
-  addr : Ogc_server.Server.addr;  (** where the router listens *)
+  addr : Ogc_net.Net.addr;  (** where the router listens *)
   shards : target list;
   vnodes : int;  (** ring points per shard *)
   pool_size : int;  (** connections per shard *)
@@ -69,15 +71,13 @@ type config = {
   replicas : int;  (** copies of a promoted hot result, primary included *)
   promote_after : int;  (** result-key hits before promotion *)
   hedge_ms : float option;  (** fixed hedge threshold; [None] = adaptive *)
-  connect_timeout_ms : int;
   request_timeout_ms : int;  (** overall per-request budget *)
 }
 
-val default_config :
-  addr:Ogc_server.Server.addr -> shards:target list -> config
+val default_config : addr:Ogc_net.Net.addr -> shards:target list -> config
 (** [vnodes = 128], [pool_size = 8], [max_waiters = 64], [replicas = 2],
-    [promote_after = 3], adaptive hedging, [connect_timeout_ms = 1000],
-    [request_timeout_ms = 30_000]. *)
+    [promote_after = 3], adaptive hedging, [request_timeout_ms = 30_000].
+    Shard connects time out after {!Ogc_net.Net.connect}'s 1 s. *)
 
 type t
 

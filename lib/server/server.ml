@@ -4,6 +4,7 @@ module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
 module Log = Ogc_obs.Log
 module Flight = Ogc_obs.Flight
+module Net = Ogc_net.Net
 
 exception Deadline_exceeded
 
@@ -27,10 +28,8 @@ let m_latency =
       ))
     known_ops
 
-type addr = Unix_sock of string | Tcp of string * int
-
 type config = {
-  addr : addr;
+  addr : Net.addr;
   jobs : int option;
   queue_limit : int;
   cache_capacity : int;
@@ -55,15 +54,11 @@ let default_config addr =
     inject_slow_ms = None;
     respecialize = true }
 
-let addr_string = function
-  | Unix_sock path -> path
-  | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
-
 let lat_window = 1024
 
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
+  listener : Net.listener;
   pool : Pool.t;
   cache : Cache.t;
   passes : Ogc_pass.Pass.Store.t;
@@ -73,7 +68,6 @@ type t = {
   profiles : Profile_store.t;
       (* accumulated execution profiles, one per program (route_key) *)
   pending : int Atomic.t;  (* analyses queued or running *)
-  stopping : bool Atomic.t;
   started : float;
   m : Mutex.t;  (* guards the mutable fields below *)
   served : (string, int * string) Hashtbl.t;
@@ -83,8 +77,6 @@ type t = {
   respec_inflight : (string, unit) Hashtbl.t;
       (* epoch-salted keys with a background re-specialization queued or
          running — dedup so a burst of stale hits schedules one *)
-  mutable conns : Unix.file_descr list;
-  mutable threads : Thread.t list;
   mutable requests : int;
   mutable analyses : int;  (* cache misses actually computed *)
   mutable errors : int;
@@ -105,32 +97,8 @@ let locked t f =
 
 (* --- socket setup --------------------------------------------------------- *)
 
-let sockaddr_of = function
-  | Unix_sock path -> Unix.ADDR_UNIX path
-  | Tcp (host, port) ->
-    let ip =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (
-        match Unix.gethostbyname host with
-        | { Unix.h_addr_list = [||]; _ } ->
-          Fmt.failwith "cannot resolve %s" host
-        | h -> h.Unix.h_addr_list.(0)
-        | exception Not_found -> Fmt.failwith "cannot resolve %s" host)
-    in
-    Unix.ADDR_INET (ip, port)
-
 let create cfg =
-  let domain =
-    match cfg.addr with Unix_sock _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (match cfg.addr with
-  | Unix_sock path ->
-    (* A stale socket file from a previous run would make bind fail. *)
-    if Sys.file_exists path then Unix.unlink path
-  | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
-  Unix.bind fd (sockaddr_of cfg.addr);
-  Unix.listen fd 64;
+  let listener = Net.listen ~name:"ogc-serve" cfg.addr in
   (match cfg.slow_ms with
   | Some _ -> Flight.set_slow_ms cfg.slow_ms
   | None -> ());
@@ -144,19 +112,16 @@ let create cfg =
     | d, _ -> d
   in
   { cfg;
-    listen_fd = fd;
+    listener;
     pool = Pool.create ?jobs:cfg.jobs ();
     cache = Cache.create ~capacity:cfg.cache_capacity ?dir:cache_dir ();
     passes = Ogc_pass.Pass.Store.create ~capacity:cfg.cache_capacity ();
     profiles = Profile_store.create ~capacity:cfg.cache_capacity ();
     pending = Atomic.make 0;
-    stopping = Atomic.make false;
     started = Unix.gettimeofday ();
     m = Mutex.create ();
     served = Hashtbl.create 64;
     respec_inflight = Hashtbl.create 8;
-    conns = [];
-    threads = [];
     requests = 0;
     analyses = 0;
     errors = 0;
@@ -657,52 +622,9 @@ let handle_line t line =
     ~fields:[ ("op", J.Str op_name); ("seconds", J.Float dt) ];
   response
 
-(* --- connections ----------------------------------------------------------- *)
-
-let handle_conn t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  (try
-     let continue = ref true in
-     while !continue do
-       match input_line ic with
-       | "" -> ()
-       | line ->
-         output_string oc (handle_line t (String.trim line));
-         output_char oc '\n';
-         flush oc
-       | exception (End_of_file | Sys_error _) -> continue := false
-     done
-   with e ->
-     (* Typically the reply write: the client hung up before its answer
-        was ready (SIGPIPE is ignored, so that is a [Sys_error]). *)
-     Log.warn "ogc-serve: connection dropped"
-       ~fields:
-         [ ("addr", J.Str (addr_string t.cfg.addr));
-           ("error", J.Str (Printexc.to_string e)) ]);
-  locked t (fun () ->
-      t.conns <- List.filter (fun c -> c != fd) t.conns);
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
 (* --- lifecycle ------------------------------------------------------------- *)
 
-let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    (* Wake the accept loop with a throwaway connection; [run] does the
-       actual drain.  Async-signal-safe enough for a SIGINT handler: no
-       locks are taken. *)
-    try
-      let domain =
-        match t.cfg.addr with
-        | Unix_sock _ -> Unix.PF_UNIX
-        | Tcp _ -> Unix.PF_INET
-      in
-      let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (sockaddr_of t.cfg.addr)
-       with Unix.Unix_error _ -> ());
-      Unix.close fd
-    with _ -> ()
-  end
+let stop t = Net.stop t.listener
 
 let install_sigint t =
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop t))
@@ -719,56 +641,21 @@ let install_sigusr1 () =
            flush stderr))
   with Invalid_argument _ -> ()
 
-(* A peer that disconnects mid-write must surface as EPIPE on the
-   offending call, not kill the whole process. *)
-let ignore_sigpipe () =
-  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  with Invalid_argument _ -> ()
-
 let run t =
-  ignore_sigpipe ();
   install_sigusr1 ();
   Log.info "ogc-serve: listening"
     ~fields:
       [ ("version", J.Str Version.version);
-        ("addr", J.Str (addr_string t.cfg.addr));
+        ("addr", J.Str (Net.addr_string t.cfg.addr));
         ("jobs", J.Int (Pool.size t.pool));
         ("queue_limit", J.Int t.cfg.queue_limit) ];
-  let continue = ref true in
-  while !continue do
-    if Atomic.get t.stopping then continue := false
-    else
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-        if Atomic.get t.stopping then begin
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          continue := false
-        end
-        else
-          locked t (fun () ->
-              t.conns <- fd :: t.conns;
-              t.threads <- Thread.create (handle_conn t) fd :: t.threads)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
   (* Graceful drain: stop accepting, nudge idle connections to EOF (a
      connection mid-request still writes its response first — its read
      side only reports EOF on the next request), finish every in-flight
      analysis, then retire the worker domains. *)
-  Log.info "ogc-serve: draining"
-    ~fields:[ ("pending", J.Int (Atomic.get t.pending)) ];
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.cfg.addr with
-  | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Tcp _ -> ());
-  let conns, threads =
-    locked t (fun () -> (t.conns, t.threads))
-  in
-  List.iter
-    (fun fd ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-      with Unix.Unix_error _ -> ())
-    conns;
-  List.iter Thread.join threads;
+  Net.run t.listener (handle_line t) ~on_drain:(fun () ->
+      Log.info "ogc-serve: draining"
+        ~fields:[ ("pending", J.Int (Atomic.get t.pending)) ]);
   Pool.shutdown t.pool;
   Log.info "ogc-serve: stopped"
     ~fields:

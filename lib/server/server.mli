@@ -2,9 +2,9 @@
     newline-delimited JSON analysis requests (see {!Protocol}) over a
     Unix-domain or TCP socket.
 
-    Architecture: the calling thread runs the accept loop; every
-    connection gets a systhread that parses request lines and writes one
-    response line per request, in order.  CPU-bound analyses are
+    Architecture: the calling thread runs the {!Ogc_net.Net} accept
+    loop; every connection gets a systhread that parses request lines
+    and writes one response line per request, in order.  CPU-bound analyses are
     submitted to a persistent {!Ogc_exec.Pool} of worker domains behind
     a bounded admission queue — when more than [queue_limit] analyses
     are in flight the server replies [{"status":"overloaded"}] instead
@@ -33,15 +33,11 @@
 
     Shutdown is graceful: {!stop} (or SIGINT after {!install_sigint})
     makes {!run} stop accepting, lets every in-flight request finish and
-    its response flush, then retires the connection threads and the
-    worker domains. *)
-
-type addr =
-  | Unix_sock of string  (** path of a Unix-domain socket *)
-  | Tcp of string * int  (** host, port *)
+    its response flush, waits for the connections to close, then
+    retires the worker domains. *)
 
 type config = {
-  addr : addr;
+  addr : Ogc_net.Net.addr;
   jobs : int option;  (** worker domains; [None] = [Pool.default_jobs] *)
   queue_limit : int;  (** in-flight analyses before shedding load *)
   cache_capacity : int;  (** in-memory cache entries *)
@@ -64,10 +60,7 @@ type config = {
           in the background; [false] recomputes synchronously instead *)
 }
 
-val addr_string : addr -> string
-(** Human-readable form: the socket path, or [host:port]. *)
-
-val default_config : addr -> config
+val default_config : Ogc_net.Net.addr -> config
 (** [jobs = None], [queue_limit = 64], [cache_capacity = 256],
     [respecialize = true], no persistent cache.  Lifecycle events go
     through {!Ogc_obs.Log} (structured NDJSON on stderr by default;
@@ -86,12 +79,6 @@ val link_stores : t list -> unit
     recursion) and installs what it finds, counted as a replica hit in
     [stats].  Used by in-process fleets (tests, bench); separate shard
     processes share artifacts through result replication instead. *)
-
-val ignore_sigpipe : unit -> unit
-(** Ignore SIGPIPE process-wide (no-op where the signal does not exist)
-    so a peer disconnecting mid-write surfaces as [EPIPE] on the
-    offending call instead of killing the process.  [run] calls this;
-    exposed for other long-lived socket loops (the fleet router). *)
 
 val run : t -> unit
 (** Serve until {!stop}; returns after the graceful drain completes.

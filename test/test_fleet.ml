@@ -1,10 +1,12 @@
 (* Fleet tests: consistent-hash ring properties (balance, minimal key
    movement on resize), router hedging past an injected slow shard,
-   failover past a dead one, hot-key replication, and a loadgen replay
-   that kills a shard mid-run and still completes with zero failures. *)
+   failover past a dead one, hot-key replication (and its failed puts),
+   the request-line bound at the router, and a loadgen replay that kills
+   a shard mid-run and still completes with zero failures. *)
 
 module J = Ogc_json.Json
 module Server = Ogc_server.Server
+module Net = Ogc_net.Net
 module Protocol = Ogc_server.Protocol
 module Ring = Ogc_fleet.Ring
 module Router = Ogc_fleet.Router
@@ -178,7 +180,7 @@ type shard_proc = {
 let start_shard name =
   let path = sock_path () in
   let cfg =
-    { (Server.default_config (Server.Unix_sock path)) with jobs = Some 1 }
+    { (Server.default_config (Net.Unix_sock path)) with jobs = Some 1 }
   in
   let t = Server.create cfg in
   { sp_name = name; sp_path = path; sp_t = t;
@@ -196,12 +198,12 @@ let with_fleet ?(n = 3) ?(router_cfg = fun c -> c) f =
   let targets =
     List.map
       (fun sp ->
-        { Router.t_name = sp.sp_name; t_addr = Server.Unix_sock sp.sp_path })
+        { Router.t_name = sp.sp_name; t_addr = Net.Unix_sock sp.sp_path })
       shards
   in
   let cfg =
     router_cfg
-      (Router.default_config ~addr:(Server.Unix_sock rpath) ~shards:targets)
+      (Router.default_config ~addr:(Net.Unix_sock rpath) ~shards:targets)
   in
   let r = Router.create cfg in
   let rth = Thread.create Router.run r in
@@ -298,12 +300,12 @@ let test_router_hedges_past_slow_shard () =
         (fun () ->
           let rpath = sock_path () in
           let targets =
-            [ { Router.t_name = "slow"; t_addr = Server.Unix_sock slow_path };
+            [ { Router.t_name = "slow"; t_addr = Net.Unix_sock slow_path };
               { Router.t_name = "live";
-                t_addr = Server.Unix_sock live.sp_path } ]
+                t_addr = Net.Unix_sock live.sp_path } ]
           in
           let cfg =
-            { (Router.default_config ~addr:(Server.Unix_sock rpath)
+            { (Router.default_config ~addr:(Net.Unix_sock rpath)
                  ~shards:targets)
               with
               hedge_ms = Some 25.0
@@ -349,11 +351,11 @@ let test_router_fails_over_dead_shard () =
       let dead_path = sock_path () in
       (* never bound: connects fail immediately *)
       let targets =
-        [ { Router.t_name = "dead"; t_addr = Server.Unix_sock dead_path };
-          { Router.t_name = "live"; t_addr = Server.Unix_sock live.sp_path } ]
+        [ { Router.t_name = "dead"; t_addr = Net.Unix_sock dead_path };
+          { Router.t_name = "live"; t_addr = Net.Unix_sock live.sp_path } ]
       in
       let cfg =
-        Router.default_config ~addr:(Server.Unix_sock rpath) ~shards:targets
+        Router.default_config ~addr:(Net.Unix_sock rpath) ~shards:targets
       in
       let r = Router.create cfg in
       let rth = Thread.create Router.run r in
@@ -404,6 +406,100 @@ let test_router_replicates_hot_keys () =
       in
       poll ())
 
+(* A put to a stopped replica shard is a failed put: counted per shard
+   and logged at warn with the shard name and the error. *)
+let test_router_counts_failed_replica_puts () =
+  let lines = ref [] and m = Mutex.create () in
+  let metrics_were = Ogc_obs.Metrics.enabled () in
+  Ogc_obs.Metrics.set_enabled true;
+  Ogc_obs.Log.set_level Ogc_obs.Log.Warn;
+  Ogc_obs.Log.set_sink (fun l ->
+      Mutex.protect m (fun () -> lines := l :: !lines));
+  Fun.protect
+    ~finally:(fun () ->
+      Ogc_obs.Log.set_sink prerr_endline;
+      Ogc_obs.Log.set_level Ogc_obs.Log.Error;
+      Ogc_obs.Metrics.set_enabled metrics_were)
+  @@ fun () ->
+  let vnodes = 64 in
+  with_fleet ~n:2
+    ~router_cfg:(fun c ->
+      { c with Router.promote_after = 2; replicas = 2; vnodes })
+    (fun rpath _ shards ->
+      let src = src_of 3 in
+      let ring = Ring.create ~vnodes (List.map (fun sp -> sp.sp_name) shards) in
+      let replica =
+        match Ring.successors ring (route_key_of src) 2 with
+        | [ _primary; replica ] -> replica
+        | _ -> Alcotest.fail "expected two ring successors"
+      in
+      stop_shard (List.find (fun sp -> sp.sp_name = replica) shards);
+      for _ = 1 to 2 do
+        Alcotest.(check string) "hot request ok" "ok"
+          (field (request rpath (analyze_line src)) "status")
+      done;
+      let failures () =
+        List.fold_left
+          (fun acc (name, labels, v) ->
+            match v with
+            | J.Float f
+              when name = "ogc_router_shard_replica_put_failures_total"
+                   && labels = [ ("shard", replica) ] ->
+              acc +. f
+            | _ -> acc)
+          0.0 (Ogc_obs.Metrics.snapshot ())
+      in
+      let warned () =
+        Mutex.protect m (fun () ->
+            List.find_opt
+              (fun l ->
+                J.member "msg" (J.of_string l)
+                = J.Str "ogc-router: replica put failed")
+              !lines)
+      in
+      (* The put runs off the request path. *)
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while
+        (failures () < 1.0 || warned () = None)
+        && Unix.gettimeofday () < deadline
+      do
+        Thread.delay 0.02
+      done;
+      Alcotest.(check bool) "failure counted for the replica" true
+        (failures () >= 1.0);
+      match warned () with
+      | None -> Alcotest.fail "no warn line for the failed put"
+      | Some l ->
+        let j = J.of_string l in
+        Alcotest.(check string) "names the shard" replica
+          (J.get_string "shard" j);
+        Alcotest.(check bool) "carries the error" true
+          (J.get_string "error" j <> ""))
+
+(* Sends [max_line_bytes + 1] bytes with no newline through the router;
+   the reply names the limit, the connection closes, and the router
+   keeps serving. *)
+let test_router_rejects_oversized_line () =
+  with_fleet ~n:1 (fun rpath _ _ ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX rpath);
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+          let big = String.make (Net.max_line_bytes + 1) 'x' in
+          ignore (Unix.write_substring fd big 0 (String.length big));
+          let ic = Unix.in_channel_of_descr fd in
+          let reply = input_line ic in
+          Alcotest.(check string) "status" "error" (field reply "status");
+          Alcotest.(check string) "names the limit"
+            (string_of_int Net.max_line_bytes)
+            (field reply "max_line_bytes");
+          Alcotest.(check bool) "connection closed after the reply" true
+            (match input_line ic with
+            | _ -> false
+            | exception End_of_file -> true));
+      Alcotest.(check string) "a fresh connection is served" "ok"
+        (field (request rpath {|{"op":"ping"}|}) "status"))
+
 (* --- distributed tracing (the acceptance criterion) -------------------------- *)
 
 module Span = Ogc_obs.Span
@@ -432,11 +528,11 @@ let test_hedged_request_one_connected_trace () =
   Fun.protect ~finally:(fun () -> stop_shard live) @@ fun () ->
   let rpath = sock_path () in
   let targets =
-    [ { Router.t_name = "slow"; t_addr = Server.Unix_sock slow_path };
-      { Router.t_name = "live"; t_addr = Server.Unix_sock live.sp_path } ]
+    [ { Router.t_name = "slow"; t_addr = Net.Unix_sock slow_path };
+      { Router.t_name = "live"; t_addr = Net.Unix_sock live.sp_path } ]
   in
   let cfg =
-    { (Router.default_config ~addr:(Server.Unix_sock rpath) ~shards:targets)
+    { (Router.default_config ~addr:(Net.Unix_sock rpath) ~shards:targets)
       with hedge_ms = Some 25.0 }
   in
   let r = Router.create cfg in
@@ -630,8 +726,8 @@ let test_untraced_wire_bytes_unchanged () =
   Fun.protect ~finally:stop @@ fun () ->
   let rpath = sock_path () in
   let cfg =
-    Router.default_config ~addr:(Server.Unix_sock rpath)
-      ~shards:[ { Router.t_name = "echo"; t_addr = Server.Unix_sock path } ]
+    Router.default_config ~addr:(Net.Unix_sock rpath)
+      ~shards:[ { Router.t_name = "echo"; t_addr = Net.Unix_sock path } ]
   in
   let r = Router.create cfg in
   let rth = Thread.create Router.run r in
@@ -650,7 +746,7 @@ let test_untraced_wire_bytes_unchanged () =
 
 let test_loadgen_stream_is_deterministic () =
   let cfg =
-    { (Loadgen.default_config ~addr:(Server.Unix_sock "/tmp/unused.sock"))
+    { (Loadgen.default_config ~addr:(Net.Unix_sock "/tmp/unused.sock"))
       with
       requests = 200;
       warm_ratio = 0.6
@@ -679,12 +775,11 @@ let test_loadgen_survives_shard_kill () =
   with_fleet ~n:3 (fun rpath _r shards ->
       let victim = List.hd shards in
       let cfg =
-        { (Loadgen.default_config ~addr:(Server.Unix_sock rpath)) with
+        { (Loadgen.default_config ~addr:(Net.Unix_sock rpath)) with
           requests = 60;
           clients = 2;
           warm_ratio = 0.5;
-          retries = 8;
-          backoff_ms = 20 }
+          retries = 8 }
       in
       let killed = Atomic.make false in
       let report =
@@ -724,7 +819,11 @@ let () =
          Alcotest.test_case "fails over a dead shard" `Quick
            test_router_fails_over_dead_shard;
          Alcotest.test_case "replicates hot keys" `Quick
-           test_router_replicates_hot_keys ]);
+           test_router_replicates_hot_keys;
+         Alcotest.test_case "counts and logs failed replica puts" `Quick
+           test_router_counts_failed_replica_puts;
+         Alcotest.test_case "rejects an oversized line" `Quick
+           test_router_rejects_oversized_line ]);
       ("tracing",
        [ Alcotest.test_case "untraced wire bytes unchanged" `Quick
            test_untraced_wire_bytes_unchanged;

@@ -1,0 +1,176 @@
+(* Socket-layer tests: the one ADDR grammar, host-name resolution on both
+   ends of a TCP connection, the request-line bound at its boundary, and
+   the `ogc` client commands over TCP to a host name and past the
+   bound. *)
+
+module J = Ogc_json.Json
+module Net = Ogc_net.Net
+module Server = Ogc_server.Server
+
+let () = Ogc_obs.Log.set_level Ogc_obs.Log.Error
+
+let addr =
+  Alcotest.testable
+    (fun ppf -> function
+      | Net.Unix_sock p -> Format.fprintf ppf "Unix_sock %S" p
+      | Net.Tcp (h, p) -> Format.fprintf ppf "Tcp (%S, %d)" h p)
+    ( = )
+
+let test_addr_grammar () =
+  List.iter
+    (fun (spec, want) ->
+      Alcotest.check addr spec want (Net.parse_addr spec))
+    [ ("/tmp/ogc.sock", Net.Unix_sock "/tmp/ogc.sock");
+      ("ogc.sock", Net.Unix_sock "ogc.sock");
+      ("localhost:7000", Net.Tcp ("localhost", 7000));
+      ("10.0.0.2:80", Net.Tcp ("10.0.0.2", 80));
+      (":7000", Net.Tcp ("127.0.0.1", 7000));
+      ("foo:bar", Net.Unix_sock "foo:bar");
+      ("./dir:80", Net.Unix_sock "./dir:80");
+      ("host:70000", Net.Unix_sock "host:70000") ];
+  List.iter
+    (fun a ->
+      Alcotest.check addr "printer round-trips" a
+        (Net.parse_addr (Net.addr_string a)))
+    [ Net.Tcp ("localhost", 7000); Net.Unix_sock "/tmp/ogc.sock" ]
+
+(* A port nothing listens on yet: bind an ephemeral one and release it. *)
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, p) -> p
+  | Unix.ADDR_UNIX _ -> assert false
+
+let with_listener a handle f =
+  let l = Net.listen ~name:"test" a in
+  let th = Thread.create (fun () -> Net.run l ~on_drain:ignore handle) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.stop l;
+      Thread.join th)
+    f
+
+let test_connect_host_name () =
+  let a = Net.Tcp ("localhost", free_port ()) in
+  with_listener a
+    (fun line -> "echo " ^ line)
+    (fun () ->
+      let c = Net.connect a in
+      Fun.protect ~finally:(fun () -> Net.close c) @@ fun () ->
+      Alcotest.(check string) "round trip" "echo hi" (Net.call c "hi");
+      Alcotest.(check string) "second line" "echo there" (Net.call c "there"))
+
+let test_line_at_the_limit () =
+  let path = Printf.sprintf "/tmp/ogc-net-%d.sock" (Unix.getpid ()) in
+  with_listener (Net.Unix_sock path)
+    (fun line -> string_of_int (String.length line))
+    (fun () ->
+      let c = Net.connect (Net.Unix_sock path) in
+      Fun.protect ~finally:(fun () -> Net.close c) @@ fun () ->
+      Alcotest.(check string) "a line of exactly max_line_bytes is served"
+        (string_of_int Net.max_line_bytes)
+        (Net.call c (String.make Net.max_line_bytes 'x')))
+
+(* --- the CLI over TCP ----------------------------------------------------- *)
+
+(* dune builds it next to this test's directory (see the [deps] field). *)
+let ogc =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/ogc.exe"
+
+(* Exit code and stdout+stderr of one [ogc] run. *)
+let run_ogc args =
+  let out = Filename.temp_file "ogc-net" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let code =
+    Sys.command (Filename.quote_command ogc args ~stdout:out ~stderr:out)
+  in
+  (code, In_channel.with_open_bin out In_channel.input_all)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_cli_tcp_host_name () =
+  let port = free_port () in
+  let spec = Printf.sprintf "localhost:%d" port in
+  let code, out = run_ogc [ "submit"; "--tcp"; spec; "--ping" ] in
+  Alcotest.(check int) "nothing listening: exit 1" 1 code;
+  Alcotest.(check bool) ("refused, not unresolved: " ^ out) true
+    (contains out "cannot reach the server: Connection refused");
+  let t =
+    Server.create
+      { (Server.default_config (Net.Tcp ("localhost", port))) with
+        jobs = Some 1 }
+  in
+  let th = Thread.create Server.run t in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop t;
+      Thread.join th)
+  @@ fun () ->
+  let code, out = run_ogc [ "submit"; "--tcp"; spec; "--ping"; "--raw" ] in
+  Alcotest.(check int) ("submit --tcp exit: " ^ out) 0 code;
+  Alcotest.(check bool) "ping answered" true (contains out {|"status":"ok"|});
+  let trace = Filename.temp_file "ogc-net" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  let code, out = run_ogc [ "trace"; "--fleet"; spec; "--out"; trace ] in
+  Alcotest.(check int) ("trace --fleet exit: " ^ out) 0 code;
+  let doc = J.of_string (In_channel.with_open_bin trace In_channel.input_all) in
+  match J.member "traceEvents" doc with
+  | J.Arr _ -> ()
+  | _ -> Alcotest.fail "trace --fleet wrote no traceEvents"
+
+let test_cli_tcp_rejects_non_tcp () =
+  List.iter
+    (fun spec ->
+      let code, out = run_ogc [ "submit"; "--tcp"; spec; "--ping" ] in
+      Alcotest.(check int) (spec ^ " is a usage error") 124 code;
+      Alcotest.(check bool) ("names the grammar: " ^ out) true
+        (contains out "expected HOST:PORT"))
+    [ "foo"; "foo:bar"; "/tmp/x.sock"; "./dir:80" ]
+
+(* The server answers an over-long request and closes before reading all
+   of it; submit's write fails, and it must still print that answer. *)
+let test_cli_oversized_request () =
+  let path = Printf.sprintf "/tmp/ogc-net-big-%d.sock" (Unix.getpid ()) in
+  let src = Filename.temp_file "ogc-net" ".mc" in
+  Fun.protect ~finally:(fun () -> Sys.remove src) @@ fun () ->
+  Out_channel.with_open_bin src (fun oc ->
+      output_string oc "int main() { return 0; }\n// ";
+      output_string oc (String.make (Net.max_line_bytes + 1) 'x'));
+  let t =
+    Server.create
+      { (Server.default_config (Net.Unix_sock path)) with jobs = Some 1 }
+  in
+  let th = Thread.create Server.run t in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop t;
+      Thread.join th)
+  @@ fun () ->
+  let code, out = run_ogc [ "submit"; "--socket"; path; src; "--raw" ] in
+  Alcotest.(check int) ("exit: " ^ out) 1 code;
+  Alcotest.(check bool) ("prints the limit: " ^ out) true
+    (contains out (Printf.sprintf {|"max_line_bytes":%d|} Net.max_line_bytes))
+
+let () =
+  Alcotest.run "net"
+    [ ("addr",
+       [ Alcotest.test_case "ADDR grammar" `Quick test_addr_grammar;
+         Alcotest.test_case "connect resolves a host name" `Quick
+           test_connect_host_name ]);
+      ("listener",
+       [ Alcotest.test_case "line at the limit is served" `Quick
+           test_line_at_the_limit ]);
+      ("cli",
+       [ Alcotest.test_case "submit and trace --fleet reach a host name"
+           `Quick test_cli_tcp_host_name;
+         Alcotest.test_case "--tcp rejects non-TCP addresses" `Quick
+           test_cli_tcp_rejects_non_tcp;
+         Alcotest.test_case "submit prints the answer to an oversized request"
+           `Quick test_cli_oversized_request ]) ]

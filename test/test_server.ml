@@ -1,10 +1,12 @@
 (* Optimization-service tests: cache determinism, deadline expiry,
-   bounded-queue rejection and the graceful SIGINT drain — all over a
-   real Unix-domain socket — plus Prog_json round-trip properties (the
-   wire form of programs the service ships). *)
+   bounded-queue rejection, the graceful SIGINT drain and the
+   request-line bound — all over a real Unix-domain socket — plus
+   Prog_json round-trip properties (the wire form of programs the
+   service ships). *)
 
 module J = Ogc_json.Json
 module Server = Ogc_server.Server
+module Net = Ogc_net.Net
 module Cache = Ogc_server.Cache
 module Prog_json = Ogc_ir.Prog_json
 module Workload = Ogc_workloads.Workload
@@ -43,7 +45,7 @@ let sock_path =
 let with_server ?(queue_limit = 64) ?cache_dir f =
   let path = sock_path () in
   let cfg =
-    { (Server.default_config (Server.Unix_sock path)) with
+    { (Server.default_config (Net.Unix_sock path)) with
       jobs = Some 1;
       queue_limit;
       cache_dir }
@@ -280,7 +282,7 @@ let test_shard_cache_namespacing () =
       let with_shard id f =
         let path = sock_path () in
         let cfg =
-          { (Server.default_config (Server.Unix_sock path)) with
+          { (Server.default_config (Net.Unix_sock path)) with
             jobs = Some 1;
             cache_dir = Some dir;
             shard_id = Some id }
@@ -462,7 +464,7 @@ let test_stop_drains () =
   let path = sock_path () in
   let t =
     Server.create
-      { (Server.default_config (Server.Unix_sock path)) with jobs = Some 1 }
+      { (Server.default_config (Net.Unix_sock path)) with jobs = Some 1 }
   in
   let th = Thread.create Server.run t in
   Alcotest.(check string) "server answers" "ok"
@@ -477,7 +479,7 @@ let test_sigint_drains () =
   let path = sock_path () in
   let t =
     Server.create
-      { (Server.default_config (Server.Unix_sock path)) with jobs = Some 1 }
+      { (Server.default_config (Net.Unix_sock path)) with jobs = Some 1 }
   in
   let th = Thread.create Server.run t in
   let prev = Sys.signal Sys.sigint Sys.Signal_ignore in
@@ -515,7 +517,7 @@ let test_dropped_connection_logged () =
   let path = sock_path () in
   let t =
     Server.create
-      { (Server.default_config (Server.Unix_sock path)) with
+      { (Server.default_config (Net.Unix_sock path)) with
         jobs = Some 1;
         inject_slow_ms = Some 200.0 }
   in
@@ -551,6 +553,96 @@ let test_dropped_connection_logged () =
     Alcotest.(check string) "names the failed write"
       (Printexc.to_string (Sys_error "Broken pipe"))
       (J.get_string "error" j)
+
+(* A few hundred sequential connections, one open at a time: the
+   listener keeps nothing per connection once it has closed, so the
+   descriptor count returns to where it started and the drain is
+   prompt. *)
+let test_sequential_connections_leave_nothing () =
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let path = sock_path () in
+  let t =
+    Server.create
+      { (Server.default_config (Net.Unix_sock path)) with jobs = Some 1 }
+  in
+  let th = Thread.create Server.run t in
+  (* a failed check still stops the server, without waiting on it *)
+  Fun.protect ~finally:(fun () -> Server.stop t) @@ fun () ->
+  let before = fds () in
+  for _ = 1 to 300 do
+    if field (request path {|{"op":"ping"}|}) "status" <> "ok" then
+      Alcotest.fail "ping failed"
+  done;
+  (* Each connection thread closes its descriptor after the client's
+     EOF, asynchronously. *)
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while fds () > before && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check int) "descriptor count back to the start" before (fds ());
+  let stopped = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         Server.stop t;
+         Thread.join th;
+         Atomic.set stopped true)
+       ());
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check bool) "stop + run return within 5 s" true
+    (Atomic.get stopped)
+
+(* --- request-line bound --------------------------------------------------- *)
+
+(* Sends [max_line_bytes + 1] bytes with no newline; returns the reply
+   line and whether the peer closed the connection after it. *)
+let oversized_exchange path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  (* a server that waits for the newline fails the test, not hangs it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let big = String.make (Net.max_line_bytes + 1) 'x' in
+  ignore (Unix.write_substring fd big 0 (String.length big));
+  let ic = Unix.in_channel_of_descr fd in
+  let reply = input_line ic in
+  (reply, match input_line ic with _ -> false | exception End_of_file -> true)
+
+let test_oversized_line () =
+  let lines = ref [] and m = Mutex.create () in
+  Ogc_obs.Log.set_level Ogc_obs.Log.Warn;
+  Ogc_obs.Log.set_sink (fun l ->
+      Mutex.protect m (fun () -> lines := l :: !lines));
+  Fun.protect
+    ~finally:(fun () ->
+      Ogc_obs.Log.set_sink prerr_endline;
+      Ogc_obs.Log.set_level Ogc_obs.Log.Error)
+  @@ fun () ->
+  with_server (fun path _ ->
+      let reply, eof = oversized_exchange path in
+      Alcotest.(check string) "status" "error" (field reply "status");
+      Alcotest.(check string) "names the limit"
+        (string_of_int Net.max_line_bytes)
+        (field reply "max_line_bytes");
+      Alcotest.(check bool) "connection closed after the reply" true eof;
+      Alcotest.(check string) "a fresh connection is served" "ok"
+        (field (request path {|{"op":"ping"}|}) "status");
+      let warned =
+        Mutex.protect m (fun () ->
+            List.find_opt
+              (fun l ->
+                J.member "msg" (J.of_string l)
+                = J.Str "ogc-serve: request line too long")
+              !lines)
+      in
+      match warned with
+      | None -> Alcotest.fail "no warn line for the oversized request"
+      | Some l ->
+        Alcotest.(check string) "listener address" path
+          (J.get_string "addr" (J.of_string l)))
 
 (* --- Prog_json round-trip --------------------------------------------------- *)
 
@@ -623,7 +715,12 @@ let () =
          Alcotest.test_case "SIGINT drains cleanly" `Quick
            test_sigint_drains;
          Alcotest.test_case "dropped connection is logged" `Quick
-           test_dropped_connection_logged ]);
+           test_dropped_connection_logged;
+         Alcotest.test_case "sequential connections leave nothing behind"
+           `Quick test_sequential_connections_leave_nothing ]);
+      ("limits",
+       [ Alcotest.test_case "oversized line is rejected" `Quick
+           test_oversized_line ]);
       ("prog-json",
        [ qt prop_prog_json_roundtrip;
          Alcotest.test_case "workloads round-trip" `Quick
