@@ -198,21 +198,14 @@ let vrs_cmd =
             test_cost_nj = Ogc_harness.Results.test_cost_of_label cost }
         in
         let rep = Vrs.run ~config:cfg p in
-        let s, d, n =
-          List.fold_left
-            (fun (s, d, n) (_, o) ->
-              match o with
-              | Vrs.Specialized _ -> (s + 1, d, n)
-              | Vrs.Dependent_on_other -> (s, d + 1, n)
-              | Vrs.No_benefit -> (s, d, n + 1))
-            (0, 0, 0) rep.Vrs.profiled
-        in
+        let sum = Ogc_harness.Results.summarize_report rep in
         maybe_save out p;
         Format.printf
           "profiled %d points: %d specialized, %d dependent, %d without benefit@."
-          (s + d + n) s d n;
+          (List.length rep.Vrs.profiled)
+          sum.points_specialized sum.points_dependent sum.points_no_benefit;
         Format.printf "cloned %d static instructions, eliminated %d@."
-          rep.Vrs.static_cloned rep.Vrs.static_eliminated;
+          sum.static_cloned sum.static_eliminated;
         List.iter
           (fun (iid, o) ->
             match o with
@@ -658,16 +651,8 @@ let serve_cmd =
                    this a deliberately slow shard (hedging and \
                    slow-capture smoke tests).")
   in
-  let no_respec =
-    Arg.(value & flag
-         & info [ "no-respec" ]
-             ~doc:"Disable stale-while-revalidate: when a profile push \
-                   outdates a cached result, recompute synchronously \
-                   instead of serving the previous-epoch artifact and \
-                   re-specializing in the background.")
-  in
   let run addr jobs queue_limit cache_size cache_dir shard_id quiet log_level
-      trace slow_ms inject_slow_ms no_respec =
+      trace slow_ms inject_slow_ms =
     wrap (fun () ->
         (match log_level with
         | None -> ()
@@ -688,8 +673,7 @@ let serve_cmd =
             cache_dir;
             shard_id;
             slow_ms;
-            inject_slow_ms;
-            respecialize = not no_respec }
+            inject_slow_ms }
         in
         let t =
           try Server.create cfg
@@ -704,49 +688,15 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the optimization service (NDJSON over a socket)")
     Term.(const run $ addr_term $ jobs $ queue_limit $ cache_size $ cache_dir
-          $ shard_id $ quiet $ log_level $ trace $ slow_ms $ inject_slow_ms
-          $ no_respec)
+          $ shard_id $ quiet $ log_level $ trace $ slow_ms $ inject_slow_ms)
 
-(* Build a wire-profile delta by running the program locally.  The
-   compiler is deterministic, so local instruction ids and block labels
-   match what the server compiles from the same bytes, and the profiling
-   points are recomputed with the same front-half analysis the server's
-   chain runs. *)
+(* The delta `--push-profile auto` streams: the program run locally at
+   train scale, like the server's chain front compiles it. *)
 let auto_profile_delta spec =
-  let module Profile = Ogc_pass.Profile in
   let p = load_program spec Workload.Train in
   if Prog.find_global p "input_scale" <> None then
     Workload.set_scale p Workload.Train;
-  (* The candidate screen runs on VRP-re-encoded code, exactly like the
-     server's chain front; re-encoding changes no instruction ids. *)
-  let a = Vrs.analyze p in
-  let hooks : (int, int64 -> unit) Hashtbl.t = Hashtbl.create 16 in
-  let obs = Hashtbl.create 16 in
-  List.iter
-    (fun iid ->
-      let tbl : (int64, int ref) Hashtbl.t = Hashtbl.create 8 in
-      Hashtbl.replace obs iid tbl;
-      Hashtbl.replace hooks iid (fun v ->
-          match Hashtbl.find_opt tbl v with
-          | Some r -> incr r
-          | None -> Hashtbl.replace tbl v (ref 1)))
-    (Vrs.candidate_iids a);
-  let counts : Interp.bb_counts = Hashtbl.create 64 in
-  let out = Interp.run ~bb_counts:counts ~profile:hooks p in
-  let prof = Profile.create () in
-  Hashtbl.iter (fun fn arr -> Hashtbl.replace prof.Profile.p_bb fn arr) counts;
-  prof.Profile.p_total <- out.Interp.steps;
-  Hashtbl.iter
-    (fun iid tbl ->
-      match Hashtbl.fold (fun v r acc -> (v, !r) :: acc) tbl [] with
-      | [] -> ()
-      | [ (0L, n) ] ->
-        (* observed zero on every commit: the always-zero table, which
-           is what feeds the server's zspec pass *)
-        Hashtbl.replace prof.Profile.p_zeros iid n
-      | entries -> Hashtbl.replace prof.Profile.p_values iid entries)
-    obs;
-  Profile.to_json prof
+  Ogc_pass.Profile.(to_json (collect p))
 
 let submit_cmd =
   let program =

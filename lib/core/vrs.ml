@@ -3,10 +3,7 @@ open Ogc_ir
 module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
 
-(* Specialization telemetry: candidate disposition and pass wall time. *)
-let m_runs = Metrics.counter "ogc_vrs_runs_total"
-let m_pass_seconds = Metrics.histogram "ogc_vrs_pass_seconds"
-
+(* Specialization telemetry: candidate disposition, both back halves. *)
 let m_cand_specialized =
   Metrics.counter "ogc_vrs_candidates_total"
     ~labels:[ ("outcome", "specialized") ]
@@ -530,56 +527,63 @@ let empty_report vrp =
     final_vrp = vrp;
   }
 
-let specialize_inner config (a : analysis) (p : Prog.t) =
+(* Step 3, shared by both back halves: screen the master list at this
+   guard cost, then, best candidates first, weigh each range [ranges]
+   allows against its guard and clone the dependent region behind the
+   most profitable one.  A range must reach [min_freq] and pay for its
+   guard; the CFG, use-def chains and block counts are built only once
+   some range passes [min_freq].  Steps 4-5 then propagate the
+   guard-established ranges, fold constants and assign final widths. *)
+let specialize_with ~span ~ranges config (a : analysis) (p : Prog.t) =
   let table = Savings_table.default in
   let vrp1 = a.a_vrp in
-  let counts = a.a_counts in
-  let profiles = a.a_profiles in
   let cands = select_for config a.a_master in
-  (* Step 3: cost/benefit and transformation, best candidates first. *)
   let report = empty_report vrp1 in
   let consumed = Hashtbl.create 64 in
   let outcomes = ref [] in
   let assumptions = ref [] in
   let clone_blocks = ref [] in
   let static_cloned = ref 0 in
-  Span.with_ ~name:"vrs:specialize" (fun () ->
+  let best_range c f =
+    match
+      List.filter
+        (fun (_, _, freq) -> freq >= config.min_freq)
+        (ranges (Hashtbl.find a.a_profiles c.c_iid))
+    with
+    | [] -> None
+    | frequent ->
+      let cfg = Cfg.of_func f in
+      let ud = Usedef.compute f cfg in
+      let inst_count = make_inst_count f a.a_counts in
+      let ins_ops = Hashtbl.create 256 in
+      Prog.iter_ins f (fun _ ins -> Hashtbl.replace ins_ops ins.iid ins.op);
+      List.fold_left
+        (fun best (lo, hi, freq) ->
+          let sav =
+            estimate_savings ~table ~vrp:vrp1 ~ud ~ins_ops ~inst_count
+              ~iid:c.c_iid ~new_width:(Width.needed_range lo hi)
+              ~single:(Int64.equal lo hi)
+          in
+          let cost =
+            float_of_int c.c_count
+            *. config.test_cost_nj
+            *. float_of_int (guard_instr_count ~lo ~hi)
+          in
+          let benefit = (freq *. sav) -. cost in
+          match best with
+          | Some (_, _, _, b) when b >= benefit -> best
+          | _ when benefit > 0.0 -> Some (lo, hi, freq, benefit)
+          | _ -> best)
+        None frequent
+  in
+  Span.with_ ~name:span (fun () ->
   List.iter
     (fun c ->
       if Hashtbl.mem consumed c.c_iid then
         outcomes := (c.c_iid, Dependent_on_other) :: !outcomes
       else begin
         let f = Prog.find_func p c.c_fname in
-        let cfg = Cfg.of_func f in
-        let ud = Usedef.compute f cfg in
-        let inst_count = make_inst_count f counts in
-        let ins_ops = Hashtbl.create 256 in
-        Prog.iter_ins f (fun _ ins -> Hashtbl.replace ins_ops ins.iid ins.op);
-        let tnv = Hashtbl.find profiles c.c_iid in
-        let best =
-          List.fold_left
-            (fun best (lo, hi, freq) ->
-              if freq < config.min_freq then best
-              else begin
-                let w = Width.needed_range lo hi in
-                let sav =
-                  estimate_savings ~table ~vrp:vrp1 ~ud ~ins_ops ~inst_count
-                    ~iid:c.c_iid ~new_width:w ~single:(Int64.equal lo hi)
-                in
-                let cost =
-                  float_of_int c.c_count
-                  *. config.test_cost_nj
-                  *. float_of_int (guard_instr_count ~lo ~hi)
-                in
-                let benefit = (freq *. sav) -. cost in
-                match best with
-                | Some (_, _, _, b) when b >= benefit -> best
-                | _ when benefit > 0.0 -> Some (lo, hi, freq, benefit)
-                | _ -> best
-              end)
-            None (Tnv.candidate_ranges tnv)
-        in
-        match best with
+        match best_range c f with
         | None -> outcomes := (c.c_iid, No_benefit) :: !outcomes
         | Some (lo, hi, freq, benefit) -> (
           match
@@ -604,8 +608,6 @@ let specialize_inner config (a : analysis) (p : Prog.t) =
               (c.c_iid, Specialized { lo; hi; freq; benefit }) :: !outcomes)
       end)
     cands);
-  (* Steps 4-5: propagate the guard-established ranges, fold constants
-     and assign final widths. *)
   let vrp3, eliminated_in_clones =
     finish_clones config ~clone_iids:report.clone_iids
       ~assumptions:!assumptions p
@@ -632,112 +634,28 @@ let specialize_inner config (a : analysis) (p : Prog.t) =
       r.profiled;
   r
 
-(* --- zero specialization (AZP-style) --------------------------------------- *)
-
-(* The min=max=0 slice of the pipeline: a candidate qualifies only when
-   its profile says the produced value is zero often enough — i.e. the
-   tightest profiled range is exactly [0,0] at frequency >= min_freq.
-   The guard is then the single-instruction Alpha zero test, and every
-   clone is entered under the assumption x = 0, so constant propagation
-   folds the dependent region down aggressively.  Deliberately cheap:
-   no range sweep, one fixed width target, one guard shape. *)
-let specialize_zero_inner config (a : analysis) (p : Prog.t) =
-  let table = Savings_table.default in
-  let vrp1 = a.a_vrp in
-  let counts = a.a_counts in
-  let profiles = a.a_profiles in
-  let cands = select_for config a.a_master in
-  let report = empty_report vrp1 in
-  let consumed = Hashtbl.create 64 in
-  let outcomes = ref [] in
-  let assumptions = ref [] in
-  let clone_blocks = ref [] in
-  let static_cloned = ref 0 in
-  Span.with_ ~name:"zspec:specialize" (fun () ->
-      List.iter
-        (fun c ->
-          if Hashtbl.mem consumed c.c_iid then
-            outcomes := (c.c_iid, Dependent_on_other) :: !outcomes
-          else
-            let tnv = Hashtbl.find profiles c.c_iid in
-            match Tnv.candidate_ranges tnv with
-            | (0L, 0L, freq) :: _ when freq >= config.min_freq -> (
-              let f = Prog.find_func p c.c_fname in
-              let cfg = Cfg.of_func f in
-              let ud = Usedef.compute f cfg in
-              let inst_count = make_inst_count f counts in
-              let ins_ops = Hashtbl.create 256 in
-              Prog.iter_ins f (fun _ ins ->
-                  Hashtbl.replace ins_ops ins.iid ins.op);
-              let sav =
-                estimate_savings ~table ~vrp:vrp1 ~ud ~ins_ops ~inst_count
-                  ~iid:c.c_iid ~new_width:(Width.needed_range 0L 0L)
-                  ~single:true
-              in
-              (* The zero test is one branch: guard_instr_count 0 0 = 1. *)
-              let cost = float_of_int c.c_count *. config.test_cost_nj in
-              let benefit = (freq *. sav) -. cost in
-              if benefit <= 0.0 then
-                outcomes := (c.c_iid, No_benefit) :: !outcomes
-              else
-                match
-                  specialize_point p f report ~iid:c.c_iid ~x:c.c_dst ~lo:0L
-                    ~hi:0L
-                with
-                | None -> outcomes := (c.c_iid, No_benefit) :: !outcomes
-                | Some (assumption, region_orig, region_clones, deps, cloned)
-                  ->
-                  assumptions := assumption :: !assumptions;
-                  static_cloned := !static_cloned + cloned;
-                  clone_blocks :=
-                    List.map (fun l -> (c.c_fname, l)) region_clones
-                    @ !clone_blocks;
-                  Hashtbl.iter
-                    (fun dep_iid () -> Hashtbl.replace consumed dep_iid ())
-                    deps;
-                  List.iter
-                    (fun l ->
-                      Array.iter
-                        (fun (ins : Prog.ins) ->
-                          Hashtbl.replace consumed ins.iid ())
-                        f.blocks.(Label.to_int l).body)
-                    region_orig;
-                  outcomes :=
-                    (c.c_iid, Specialized { lo = 0L; hi = 0L; freq; benefit })
-                    :: !outcomes)
-            | _ -> outcomes := (c.c_iid, No_benefit) :: !outcomes)
-        cands);
-  let vrp3, eliminated_in_clones =
-    finish_clones config ~clone_iids:report.clone_iids
-      ~assumptions:!assumptions p
-  in
-  {
-    report with
-    profiled = List.rev !outcomes;
-    clone_blocks = !clone_blocks;
-    static_cloned = !static_cloned;
-    static_eliminated = eliminated_in_clones;
-    assumptions = !assumptions;
-    final_vrp = vrp3;
-  }
+(* Zero specialization (AZP-style) is the min=max=0 slice: a candidate
+   qualifies only when its tightest profiled range is exactly [0,0].  The
+   guard is then the single-instruction Alpha zero test
+   ([guard_instr_count 0 0 = 1]), and every clone is entered under the
+   assumption x = 0, so constant propagation folds the dependent region
+   down aggressively. *)
+let zero_range tnv =
+  match Tnv.candidate_ranges tnv with
+  | ((0L, 0L, _) as zero) :: _ -> [ zero ]
+  | _ -> []
 
 let analyze ?(config = default_config) ?vrp ?bb ?values (p : Prog.t) =
   Span.with_ ~name:"vrs:analyze" (fun () ->
       analyze_inner config ?vrp ?bb ?values p)
 
 let specialize ?(config = default_config) a (p : Prog.t) =
-  specialize_inner config a p
+  specialize_with ~span:"vrs:specialize" ~ranges:Tnv.candidate_ranges config a
+    p
 
 let specialize_zero ?(config = default_config) a (p : Prog.t) =
-  specialize_zero_inner config a p
+  specialize_with ~span:"zspec:specialize" ~ranges:zero_range config a p
 
 let run ?(config = default_config) (p : Prog.t) =
   Span.with_ ~name:"vrs" (fun () ->
-      let t0 = if Metrics.enabled () then Unix.gettimeofday () else 0.0 in
-      let a = analyze_inner config p in
-      let r = specialize_inner config a p in
-      if t0 > 0.0 then begin
-        Metrics.incr m_runs;
-        Metrics.observe m_pass_seconds (Unix.gettimeofday () -. t0)
-      end;
-      r)
+      specialize ~config (analyze_inner config p) p)

@@ -120,12 +120,13 @@ val analyze :
     [run config p]. *)
 val specialize : ?config:config -> analysis -> Prog.t -> report
 
-(** [specialize_zero ?config analysis prog] applies the
-    zero-specialization back half (the AZP-style [zspec] pass): only
+(** [specialize_zero ?config analysis prog] is {!specialize} with each
+    candidate restricted to one range (the AZP-style [zspec] pass): only
     candidates whose tightest profiled range is exactly [0,0] at
     frequency >= [min_freq] are considered, each guarded by the
     single-instruction zero test, cloned, and constant-folded under the
-    x = 0 assumption.  Same in-place contract as {!specialize}; a cheap
+    x = 0 assumption.  Same candidate loop, in-place contract and
+    [ogc_vrs_candidates_total] outcome counts as {!specialize}; a cheap
     high-yield subset of it, so running both on the same program state
     is redundant — pick one per chain. *)
 val specialize_zero : ?config:config -> analysis -> Prog.t -> report

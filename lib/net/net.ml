@@ -231,6 +231,8 @@ let serve_conn l handle fd =
     warn l "connection dropped" [ ("error", J.Str (Printexc.to_string e)) ]);
   release l fd
 
+let accept_pause_s = 0.1
+
 let run l ~on_drain handle =
   ignore_sigpipe ();
   while not (Atomic.get l.stopping) do
@@ -249,6 +251,13 @@ let run l ~on_drain handle =
           release l fd
       end
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error (((Unix.EMFILE | Unix.ENFILE) as e), _, _) ->
+      (* Out of descriptors: the connection stays queued until one is
+         released.  Pause rather than spin; the loop then re-checks
+         [stopping], because [stop]'s wake-up connect needs a descriptor
+         too and may have failed. *)
+      warn l "accept failed" [ ("error", J.Str (Unix.error_message e)) ];
+      Thread.delay accept_pause_s
   done;
   on_drain ();
   close_fd l.lfd;

@@ -75,7 +75,9 @@ val run : listener -> on_drain:(unit -> unit) -> (string -> string) -> unit
     A failed reply write is logged at warn as ["NAME: connection
     dropped"].  A line longer than {!max_line_bytes} gets one
     [{"status":"error",...}] reply naming the limit, a warn line, and
-    the connection closes.
+    the connection closes.  When [accept] runs out of descriptors
+    ([EMFILE]/[ENFILE]) the loop logs ["NAME: accept failed"] at warn,
+    pauses 100 ms and tries again.
 
     Once stopped: [on_drain ()], then close the listener and unlink its
     socket file, shut down the receive side of every live connection (a

@@ -3,7 +3,6 @@ module Prog_json = Ogc_ir.Prog_json
 module Interp = Ogc_ir.Interp
 module Vrp = Ogc_core.Vrp
 module Vrs = Ogc_core.Vrs
-module Zspec = Ogc_core.Zspec
 module Cleanup = Ogc_core.Cleanup
 module Constprop = Ogc_core.Constprop
 module J = Ogc_json.Json
@@ -216,11 +215,16 @@ let value_profile_pass =
         Printf.sprintf "%d candidate points profiled" (Vrs.profiled_points a));
   }
 
-let vrs_pass =
+(* The two specialization back halves differ only in which profiled
+   ranges a candidate may take; both consume the value profiles, replace
+   the VRP fact with the report's final pass (which ran on, and
+   re-encoded, the transformed program) and invalidate the training and
+   streamed profiles, which no longer match the cloned code. *)
+let specialize_pass ~name ~doc ~specialized
+    (specialize : ?config:Vrs.config -> Vrs.analysis -> Prog.t -> Vrs.report) =
   {
-    name = "vrs";
-    doc = "value range specialization: guard-cost screening, cloning, \
-           guarded re-encoding";
+    name;
+    doc;
     defaults = [ ("cost", J.Int 50); ("constprop", J.Bool true) ];
     exec =
       (fun cfg st ->
@@ -232,48 +236,29 @@ let vrs_pass =
             constprop = cfg_bool "constprop" cfg;
           }
         in
-        let rep = Vrs.specialize ~config a st.prog in
+        let rep = specialize ~config a st.prog in
         st.report <- Some rep;
-        (* The report's final VRP pass ran on (and re-encoded) the
-           transformed program; the training profiles did not, and a
-           streamed profile no longer matches the cloned code. *)
         st.vrp <- Some rep.Vrs.final_vrp;
         st.encoded <- true;
         st.bb <- None;
         st.profile <- None;
         st.wire_ok <- false;
-        Printf.sprintf "%d specialized, %d cloned, %d eliminated"
-          (Vrs.specialized_count rep)
-          rep.Vrs.static_cloned rep.Vrs.static_eliminated);
+        Printf.sprintf "%d %s, %d cloned, %d eliminated"
+          (Vrs.specialized_count rep) specialized rep.Vrs.static_cloned
+          rep.Vrs.static_eliminated);
   }
 
+let vrs_pass =
+  specialize_pass ~name:"vrs"
+    ~doc:"value range specialization: guard-cost screening, cloning, \
+          guarded re-encoding"
+    ~specialized:"specialized" Vrs.specialize
+
 let zspec_pass =
-  {
-    name = "zspec";
-    doc = "zero-value specialization: single-instruction zero-test guards \
-           with constant-folded zero clones (min=max=0 profiles)";
-    defaults = [ ("cost", J.Int 50); ("constprop", J.Bool true) ];
-    exec =
-      (fun cfg st ->
-        let a = ensure_profile st in
-        let config =
-          {
-            Vrs.default_config with
-            test_cost_nj = Vrs.cost_of_label (cfg_int "cost" cfg);
-            constprop = cfg_bool "constprop" cfg;
-          }
-        in
-        let rep = Zspec.specialize ~config a st.prog in
-        st.report <- Some rep;
-        st.vrp <- Some rep.Vrs.final_vrp;
-        st.encoded <- true;
-        st.bb <- None;
-        st.profile <- None;
-        st.wire_ok <- false;
-        Printf.sprintf "%d zero-specialized, %d cloned, %d eliminated"
-          (Vrs.specialized_count rep)
-          rep.Vrs.static_cloned rep.Vrs.static_eliminated);
-  }
+  specialize_pass ~name:"zspec"
+    ~doc:"zero-value specialization: single-instruction zero-test guards \
+          with constant-folded zero clones (min=max=0 profiles)"
+    ~specialized:"zero-specialized" Vrs.specialize_zero
 
 let constprop_pass =
   {

@@ -15,7 +15,9 @@
    snapshots; values are carried as decimal strings so full-width
    int64s survive the 63-bit JSON integer. *)
 
+module Prog = Ogc_ir.Prog
 module Interp = Ogc_ir.Interp
+module Vrs = Ogc_core.Vrs
 module J = Ogc_json.Json
 
 type t = {
@@ -102,6 +104,44 @@ let merge_into dst delta =
       Hashtbl.replace dst.p_zeros iid
         (n + Option.value ~default:0 (Hashtbl.find_opt dst.p_zeros iid)))
     delta.p_zeros
+
+(* --- client-side collection ----------------------------------------------- *)
+
+(* The compiler is deterministic, so a client that compiled the bytes it
+   submitted holds the server's instruction ids and block labels.  The
+   profiling points come from the same front-half analysis the server's
+   chain runs (on VRP-re-encoded code, which keeps every id); one
+   interpreter run then collects block counts and each point's values. *)
+let collect p =
+  let p = Prog.copy p in
+  let a = Vrs.analyze p in
+  let hooks : (int, int64 -> unit) Hashtbl.t = Hashtbl.create 16 in
+  let obs = Hashtbl.create 16 in
+  List.iter
+    (fun iid ->
+      let tbl : (int64, int ref) Hashtbl.t = Hashtbl.create 8 in
+      Hashtbl.replace obs iid tbl;
+      Hashtbl.replace hooks iid (fun v ->
+          match Hashtbl.find_opt tbl v with
+          | Some r -> incr r
+          | None -> Hashtbl.replace tbl v (ref 1)))
+    (Vrs.candidate_iids a);
+  let counts : Interp.bb_counts = Hashtbl.create 64 in
+  let out = Interp.run ~bb_counts:counts ~profile:hooks p in
+  let t = create () in
+  Hashtbl.iter (fun fn arr -> Hashtbl.replace t.p_bb fn arr) counts;
+  t.p_total <- out.Interp.steps;
+  Hashtbl.iter
+    (fun iid tbl ->
+      match Hashtbl.fold (fun v r acc -> (v, !r) :: acc) tbl [] with
+      | [] -> ()
+      | [ (0L, n) ] ->
+        (* zero on every commit: the always-zero table, what the zspec
+           pass wants *)
+        Hashtbl.replace t.p_zeros iid n
+      | entries -> Hashtbl.replace t.p_values iid entries)
+    obs;
+  t
 
 (* --- wire codec ------------------------------------------------------------ *)
 

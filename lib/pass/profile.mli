@@ -35,6 +35,14 @@ val merge_into : t -> t -> unit
 (** [merge_into dst delta] accumulates counts; epochs are the caller's
     concern and are not touched. *)
 
+val collect : Ogc_ir.Prog.t -> t
+(** [collect p] is the delta a client streams back after running [p]
+    (already at the input scale it wants profiled; [p] is not
+    modified): block counts and the values observed at the profiling
+    points {!Ogc_core.Vrs.analyze} picks, one interpreter run, epoch 0.
+    A point that observed only zeros lands in the always-zero table.
+    [ogc submit --push-profile auto] sends exactly this. *)
+
 val to_json : t -> J.t
 
 exception Malformed of string

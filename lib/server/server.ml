@@ -37,10 +37,6 @@ type config = {
   shard_id : string option;
   slow_ms : float option; (* flight-recorder slow-request threshold *)
   inject_slow_ms : float option; (* fault injection: delay every analyze *)
-  respecialize : bool;
-      (* serve the previous-epoch artifact and re-specialize in the
-         background when a profile push outdates a cached result;
-         [false] recomputes synchronously instead *)
 }
 
 let default_config addr =
@@ -51,8 +47,7 @@ let default_config addr =
     cache_dir = None;
     shard_id = None;
     slow_ms = None;
-    inject_slow_ms = None;
-    respecialize = true }
+    inject_slow_ms = None }
 
 let lat_window = 1024
 
@@ -349,7 +344,7 @@ let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
    synchronously as usual. *)
 let serve_stale t ~t0 ~fi ?id ~(req : Protocol.request) ~rkey ~wire ~epoch
     ~key ~base_key () =
-  if epoch = 0 || not t.cfg.respecialize then None
+  if epoch = 0 then None
   else
     match
       locked t (fun () ->

@@ -53,16 +53,11 @@ type config = {
   inject_slow_ms : float option;
       (** fault injection: delay every analyze by this much, to make a
           deliberately slow shard for hedging/auto-capture smoke tests *)
-  respecialize : bool;
-      (** stale-while-revalidate (default [true]): when a [profile] push
-          has outdated a cached VRS result, answer from the
-          previous-epoch artifact ([{"cache":"stale"}]) and re-specialize
-          in the background; [false] recomputes synchronously instead *)
 }
 
 val default_config : Ogc_net.Net.addr -> config
-(** [jobs = None], [queue_limit = 64], [cache_capacity = 256],
-    [respecialize = true], no persistent cache.  Lifecycle events go
+(** [jobs = None], [queue_limit = 64], [cache_capacity = 256], no
+    persistent cache.  Lifecycle events go
     through {!Ogc_obs.Log} (structured NDJSON on stderr by default;
     raise the level to [Error] to silence them). *)
 

@@ -1,7 +1,7 @@
 (* Socket-layer tests: the one ADDR grammar, host-name resolution on both
-   ends of a TCP connection, the request-line bound at its boundary, and
-   the `ogc` client commands over TCP to a host name and past the
-   bound. *)
+   ends of a TCP connection, the request-line bound at its boundary, the
+   `ogc` client commands over TCP to a host name and past the bound, and
+   `ogc serve` riding out descriptor exhaustion. *)
 
 module J = Ogc_json.Json
 module Net = Ogc_net.Net
@@ -158,6 +158,92 @@ let test_cli_oversized_request () =
   Alcotest.(check bool) ("prints the limit: " ^ out) true
     (contains out (Printf.sprintf {|"max_line_bytes":%d|} Net.max_line_bytes))
 
+(* --- descriptor exhaustion ---------------------------------------------- *)
+
+(* Under a 20-descriptor limit, sixteen idle connections leave the
+   daemon none for its next accept.  It must stay up, answer a fresh
+   connection once they close, and still drain on SIGINT. *)
+let test_accept_out_of_descriptors () =
+  let path = Printf.sprintf "/tmp/ogc-net-emfile-%d.sock" (Unix.getpid ()) in
+  let log = Filename.temp_file "ogc-net" ".log" in
+  Fun.protect ~finally:(fun () -> Sys.remove log) @@ fun () ->
+  let err = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Fun.protect ~finally:(fun () -> Unix.close err) @@ fun () ->
+    Unix.create_process "/bin/sh"
+      [| "sh"; "-c";
+         Printf.sprintf "ulimit -n 20; exec %s serve --socket %s --jobs 1"
+           (Filename.quote ogc) (Filename.quote path) |]
+      Unix.stdin err err
+  in
+  let status = ref None in
+  let poll () =
+    if !status = None then
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ -> ()
+      | _, st -> status := Some st
+  in
+  let logged () = In_channel.with_open_bin log In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      poll ();
+      if !status = None then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      end;
+      if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception e ->
+      Unix.close fd;
+      raise e
+  in
+  let rec first_connect tries =
+    match connect () with
+    | fd -> fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when tries > 0 ->
+      Thread.delay 0.05;
+      first_connect (tries - 1)
+  in
+  let idle = ref [ first_connect 200 ] in
+  for _ = 2 to 16 do
+    idle := connect () :: !idle
+  done;
+  Thread.delay 1.0;
+  poll ();
+  Alcotest.(check bool) ("alive with 16 idle connections: " ^ logged ()) true
+    (!status = None);
+  List.iter Unix.close !idle;
+  let t0 = Unix.gettimeofday () in
+  let answer =
+    let fd = connect () in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    let line = {|{"op":"ping"}|} ^ "\n" in
+    ignore (Unix.write_substring fd line 0 (String.length line));
+    let buf = Bytes.create 4096 in
+    Bytes.sub_string buf 0 (Unix.read fd buf 0 4096)
+  in
+  Alcotest.(check bool) ("fresh connection answers ping: " ^ answer) true
+    (contains answer {|"status":"ok"|});
+  Alcotest.(check bool) "within 5 s" true (Unix.gettimeofday () -. t0 < 5.0);
+  Unix.kill pid Sys.sigint;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while !status = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.05;
+    poll ()
+  done;
+  (match !status with
+  | Some (Unix.WEXITED 0) -> ()
+  | _ -> Alcotest.failf "no clean exit after SIGINT: %s" (logged ()));
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
+  Alcotest.(check bool) "accept failure logged" true
+    (contains (logged ()) "ogc-serve: accept failed")
+
 let () =
   Alcotest.run "net"
     [ ("addr",
@@ -173,4 +259,6 @@ let () =
          Alcotest.test_case "--tcp rejects non-TCP addresses" `Quick
            test_cli_tcp_rejects_non_tcp;
          Alcotest.test_case "submit prints the answer to an oversized request"
-           `Quick test_cli_oversized_request ]) ]
+           `Quick test_cli_oversized_request;
+         Alcotest.test_case "serve survives running out of descriptors"
+           `Quick test_accept_out_of_descriptors ]) ]

@@ -210,7 +210,6 @@ let test_registry () =
 
 (* --- epoch economy: a fresher profile re-runs only the dependent suffix --- *)
 
-module Interp = Ogc_ir.Interp
 module Profile = Ogc_pass.Profile
 module Minic = Ogc_minic.Minic
 
@@ -232,33 +231,9 @@ int main() {
 |}
     extra
 
-(* A genuine wire profile for [p]: the same deterministic candidate
-   analysis the server runs picks the profiling points, one interpreter
-   run supplies block counts and per-point value observations. *)
+(* A genuine wire profile for [p], stamped with [epoch]. *)
 let mk_wire ~epoch p =
-  let a = Vrs.analyze (Prog.copy p) in
-  let hooks : (int, int64 -> unit) Hashtbl.t = Hashtbl.create 16 in
-  let obs = Hashtbl.create 16 in
-  List.iter
-    (fun iid ->
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace obs iid tbl;
-      Hashtbl.replace hooks iid (fun v ->
-          match Hashtbl.find_opt tbl v with
-          | Some r -> incr r
-          | None -> Hashtbl.replace tbl v (ref 1)))
-    (Vrs.candidate_iids a);
-  let counts : Interp.bb_counts = Hashtbl.create 64 in
-  let out = Interp.run ~bb_counts:counts ~profile:hooks (Prog.copy p) in
-  let prof = Profile.create () in
-  Hashtbl.iter (fun fn arr -> Hashtbl.replace prof.Profile.p_bb fn arr) counts;
-  prof.Profile.p_total <- out.Interp.steps;
-  Hashtbl.iter
-    (fun iid tbl ->
-      match Hashtbl.fold (fun v r acc -> (v, !r) :: acc) tbl [] with
-      | [] -> ()
-      | entries -> Hashtbl.replace prof.Profile.p_values iid entries)
-    obs;
+  let prof = Profile.collect p in
   prof.Profile.p_epoch <- epoch;
   prof
 

@@ -317,41 +317,14 @@ let test_shard_cache_namespacing () =
 (* --- profile op / online specialization ------------------------------------ *)
 
 module Profile = Ogc_pass.Profile
-module Vrs = Ogc_core.Vrs
 module Prog = Ogc_ir.Prog
-module Interp = Ogc_ir.Interp
 
-(* A genuine training-run wire profile for [s]: the same deterministic
-   candidate analysis the server runs picks the profiling points; one
-   interpreter run at train scale supplies block counts and values. *)
+(* A genuine training-run wire profile for [s], at train scale. *)
 let wire_profile_json s =
   let p = Ogc_minic.Minic.compile s in
   if Prog.find_global p "input_scale" <> None then
     Workload.set_scale p Workload.Train;
-  let a = Vrs.analyze (Prog.copy p) in
-  let hooks : (int, int64 -> unit) Hashtbl.t = Hashtbl.create 16 in
-  let obs = Hashtbl.create 16 in
-  List.iter
-    (fun iid ->
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace obs iid tbl;
-      Hashtbl.replace hooks iid (fun v ->
-          match Hashtbl.find_opt tbl v with
-          | Some r -> incr r
-          | None -> Hashtbl.replace tbl v (ref 1)))
-    (Vrs.candidate_iids a);
-  let counts : Interp.bb_counts = Hashtbl.create 64 in
-  let out = Interp.run ~bb_counts:counts ~profile:hooks (Prog.copy p) in
-  let prof = Profile.create () in
-  Hashtbl.iter (fun fn arr -> Hashtbl.replace prof.Profile.p_bb fn arr) counts;
-  prof.Profile.p_total <- out.Interp.steps;
-  Hashtbl.iter
-    (fun iid tbl ->
-      match Hashtbl.fold (fun v r acc -> (v, !r) :: acc) tbl [] with
-      | [] -> ()
-      | entries -> Hashtbl.replace prof.Profile.p_values iid entries)
-    obs;
-  Profile.to_json prof
+  Profile.to_json (Profile.collect p)
 
 let profile_req ?(source = src) () =
   J.to_string ~indent:false
