@@ -74,33 +74,31 @@ type result = {
 
 let get arr iid = if iid >= 0 && iid < Array.length arr then arr.(iid) else None
 
-(* --- flow states: one interval per register ------------------------------ *)
+(* --- flow states: one interval per block-crossing register -------------- *)
 
-(* Pre-allocation programs carry virtual registers above the architectural
-   32, so the state size is per-function: [1 + Prog.max_reg_of_func f]. *)
+(* A block's in- and out-states hold one interval per register whose
+   value at a block boundary can be observed (the plan's [pregs], see
+   {!crossing_regs}); a block's transfer runs on one full-width scratch
+   array indexed by register, [1 + Prog.max_reg_of_func f] long, loaded
+   from the compact state and stored back to it. *)
 let zero_i = Reg.to_int Reg.zero
-let sp_i = Reg.to_int Reg.sp
 
 let sp_range =
   Interval.v Interp.virtual_base
     (Int64.add Interp.virtual_base 0x1_0000_0000L)
 
-let state_top nregs =
-  let s = Array.make nregs Interval.top in
-  s.(zero_i) <- Interval.const 0L;
-  s
-
 let state_equal a b =
-  let nregs = Array.length a in
-  let rec go i = i >= nregs || (Interval.equal a.(i) b.(i) && go (i + 1)) in
+  let n = Array.length a in
+  let rec go i = i >= n || (Interval.equal a.(i) b.(i) && go (i + 1)) in
   go 0
 
 (* Every state in the engine keeps [zero] pinned to the constant 0 (the
-   constructors below establish it; transfers, refinements and widening
-   never write it), so in-place joins can skip the slot. *)
+   constructors below establish it; transfers, refinements and
+   assumptions never write it), so joins and widening leave its slot
+   unchanged. *)
 let state_join_into dst src =
   for i = 0 to Array.length dst - 1 do
-    if i <> zero_i then dst.(i) <- Interval.join dst.(i) src.(i)
+    dst.(i) <- Interval.join dst.(i) src.(i)
   done
 
 (* Directional threshold widening: an unstable bound jumps to the next
@@ -120,22 +118,19 @@ let widen_lo n =
    widened state in place. *)
 let widen_into ~old nxt =
   for i = 0 to Array.length nxt - 1 do
-    if i <> zero_i then begin
-      let o = (old.(i) : Interval.t) and n = (nxt.(i) : Interval.t) in
-      let lo =
-        if Int64.compare n.Interval.lo o.Interval.lo < 0 then
-          widen_lo n.Interval.lo
-        else o.Interval.lo
-      in
-      let hi =
-        if Int64.compare n.Interval.hi o.Interval.hi > 0 then
-          widen_hi n.Interval.hi
-        else o.Interval.hi
-      in
-      if
-        not (Int64.equal lo n.Interval.lo && Int64.equal hi n.Interval.hi)
-      then nxt.(i) <- Interval.v lo hi
-    end
+    let o = (old.(i) : Interval.t) and n = (nxt.(i) : Interval.t) in
+    let lo =
+      if Int64.compare n.Interval.lo o.Interval.lo < 0 then
+        widen_lo n.Interval.lo
+      else o.Interval.lo
+    in
+    let hi =
+      if Int64.compare n.Interval.hi o.Interval.hi > 0 then
+        widen_hi n.Interval.hi
+      else o.Interval.hi
+    in
+    if not (Int64.equal lo n.Interval.lo && Int64.equal hi n.Interval.hi)
+    then nxt.(i) <- Interval.v lo hi
   done
 
 (* --- per-function analysis ------------------------------------------------ *)
@@ -322,39 +317,53 @@ let edge_refinements (b : Prog.block) ~taken =
     [ `Cond (cond, src, taken) ]
     @ List.map (fun c -> `Cmp (c, cond, src, taken)) cmp_refine
 
-(* Apply edge refinements to a state copy; [false] means the edge is
-   infeasible. *)
-let apply_refinements state refs =
+(* Every register an edge refinement reads or refines. *)
+let refinement_regs refs =
+  let reg_of = function Instr.Reg r -> [ r ] | Instr.Imm _ -> [] in
+  List.concat_map
+    (function
+      | `Cond (_, src, _) -> [ src ]
+      | `Cmp ((_, _, lhs_op, rhs_op, _, _), _, src, _) ->
+        (src :: reg_of lhs_op) @ reg_of rhs_op)
+    refs
+
+(* Apply edge refinements to a compact state copy whose slot for
+   register [r] is [slot r]; [false] means the edge is infeasible. *)
+let apply_refinements slot state refs =
   let infeasible = ref false in
+  let range_of_operand = function
+    | Instr.Reg r -> state.(slot r)
+    | Instr.Imm v -> Interval.const v
+  in
+  let refine r v = if not (Reg.equal r Reg.zero) then state.(slot r) <- v in
   List.iter
     (fun r ->
       match r with
       | `Cond (cond, src, taken) -> (
-        let i = Reg.to_int src in
-        match Interval.refine_cond cond state.(i) ~taken with
-        | Some rng -> if i <> zero_i then state.(i) <- rng
+        match Interval.refine_cond cond state.(slot src) ~taken with
+        | Some rng -> refine src rng
         | None -> infeasible := true)
       | `Cmp ((op, width, lhs_op, rhs_op, ref1, ref2), cond, src, taken) -> (
         (* The branch tests the compare result against zero; determine
            whether the compare held on this edge. *)
-        match Interval.refine_cond cond state.(Reg.to_int src) ~taken with
+        match Interval.refine_cond cond state.(slot src) ~taken with
         | None -> infeasible := true
         | Some rng -> (
           match Interval.is_const rng with
           | Some c ->
             let holds = not (Int64.equal c 0L) in
-            let lhs = operand_range state lhs_op in
-            let rhs = operand_range state rhs_op in
+            let lhs = range_of_operand lhs_op in
+            let rhs = range_of_operand rhs_op in
             (match lhs_op with
             | Instr.Reg r1 when ref1 -> (
               match Interval.refine_cmp_lhs op width ~lhs ~rhs ~holds with
-              | Some l -> if Reg.to_int r1 <> zero_i then state.(Reg.to_int r1) <- l
+              | Some l -> refine r1 l
               | None -> infeasible := true)
             | Instr.Reg _ | Instr.Imm _ -> ());
             (match rhs_op with
             | Instr.Reg r2 when ref2 -> (
               match Interval.refine_cmp_rhs op width ~lhs ~rhs ~holds with
-              | Some rr -> if Reg.to_int r2 <> zero_i then state.(Reg.to_int r2) <- rr
+              | Some rr -> refine r2 rr
               | None -> infeasible := true)
             | Instr.Reg _ | Instr.Imm _ -> ())
           | None -> ())))
@@ -369,8 +378,9 @@ let apply_refinements state refs =
    with their refinements already extracted from the branch/compare
    pattern (the old engine re-derived them on every input recomputation
    of every sweep), deduplicated successors for worklist pushes, block
-   assumptions, and whether the CFG has any cycle at all.  Plans are
-   immutable and shared across parallel tasks. *)
+   assumptions, whether the CFG has any cycle at all, and the registers
+   the flow states carry.  Plans are immutable and shared across parallel
+   tasks. *)
 type edge = {
   e_pred : int;
   e_apply : Interval.t array -> bool;  (* refine in place; false = infeasible *)
@@ -379,23 +389,69 @@ type edge = {
 type plan = {
   pf : Prog.func;
   nb : int;
-  pnregs : int;  (* state size: 1 + the function's highest register index *)
+  pnregs : int;  (* scratch size: 1 + the function's highest register index *)
+  pregs : int array;  (* state slot -> register index *)
+  pslot : int array;  (* register index -> state slot, -1 when not carried *)
   rpo : int array;  (* worklist priority -> block index *)
   prio : int array;  (* block index -> worklist priority *)
   pedges : edge array array;  (* per block, in [Cfg.preds] order *)
   psuccs : int array array;  (* per block, deduplicated *)
-  passume : assumption list array;
+  passume : (int * Interval.t) list array;  (* per block: (slot, range) *)
   cyclic : bool;
   pcfg : Cfg.t;
 }
 
-let make_plan config (f : Prog.func) =
+(* The block-crossing registers of [f]: those whose value at a block
+   boundary can be observed.  A register is crossing when some block
+   reads it before writing it (per [Instr.uses], so a [Cmov]'s old [dst]
+   and every argument register of a [Call] count), a terminator reads it
+   (a branch's [src], [ret] at a return), an edge refinement reads or
+   refines it ([extra]: compare operands are read from the predecessor's
+   out-state even when dead after the block, and a refinement can prove
+   an edge infeasible), or an assumption constrains it ([extra] too);
+   [zero] always is.  Every other register is written in each block
+   before that block reads it, so its block-entry value is never
+   observed: transfers on the scratch array see only values the block
+   itself wrote, and the crossing part of a block's out-state is a
+   function of the crossing part of its in-state alone.  Sorted. *)
+let crossing_regs (f : Prog.func) ~nregs ~extra =
+  let mark = Array.make nregs false in
+  let see r = mark.(Reg.to_int r) <- true in
+  see Reg.zero;
+  List.iter see extra;
+  (* [written.(r) = bi]: block [bi] has written [r] at this point. *)
+  let written = Array.make nregs (-1) in
+  Array.iteri
+    (fun bi (b : Prog.block) ->
+      Array.iter
+        (fun (ins : Prog.ins) ->
+          List.iter
+            (fun r -> if written.(Reg.to_int r) <> bi then see r)
+            (Instr.uses ins.op);
+          List.iter (fun r -> written.(Reg.to_int r) <- bi) (Instr.defs ins.op))
+        b.body;
+      match b.term with
+      | Prog.Branch { src; _ } -> see src
+      | Prog.Return -> see Reg.ret
+      | Prog.Jump _ -> ())
+    f.blocks;
+  let regs = ref [] in
+  for r = nregs - 1 downto 0 do
+    if mark.(r) then regs := r :: !regs
+  done;
+  Array.of_list !regs
+
+(* [Dense] carries the block-crossing registers only; [Naive] carries
+   every register, so it stays an independent reference for that
+   restriction. *)
+let make_plan config engine (f : Prog.func) =
   let cfg = Cfg.of_func f in
   let nb = Array.length f.blocks in
+  let nregs = 1 + Prog.max_reg_of_func f in
   let rpo = Array.of_list (List.map Label.to_int (Cfg.reverse_postorder cfg)) in
   let prio = Array.make (max nb 1) 0 in
   Array.iteri (fun pos bi -> prio.(bi) <- pos) rpo;
-  let pedges =
+  let pred_refs =
     Array.init nb (fun bi ->
         let l = Label.of_int bi in
         Cfg.preds cfg l
@@ -410,9 +466,39 @@ let make_plan config (f : Prog.func) =
                (* A branch with identical targets contributes both edges;
                   using [taken] for the true side is sound because the
                   join of the two refinements over-approximates either. *)
-               let refs = edge_refinements pb ~taken in
-               { e_pred = pi; e_apply = (fun s -> apply_refinements s refs) })
+               (pi, edge_refinements pb ~taken)))
+  in
+  let assumes =
+    Array.init nb (fun bi ->
+        List.filter
+          (fun a ->
+            String.equal a.af f.fname && Label.equal a.alabel (Label.of_int bi))
+          config.assumptions)
+  in
+  let pregs =
+    match engine with
+    | Naive -> Array.init nregs Fun.id
+    | Dense ->
+      let refined =
+        List.concat (Array.to_list pred_refs)
+        |> List.concat_map (fun (_, refs) -> refinement_regs refs)
+      and assumed =
+        List.concat (Array.to_list assumes) |> List.map (fun a -> a.areg)
+      in
+      crossing_regs f ~nregs ~extra:(refined @ assumed)
+  in
+  let pslot = Array.make nregs (-1) in
+  Array.iteri (fun k r -> pslot.(r) <- k) pregs;
+  let slot r = pslot.(Reg.to_int r) in
+  let pedges =
+    Array.map
+      (fun edges ->
+        List.map
+          (fun (pi, refs) ->
+            { e_pred = pi; e_apply = (fun s -> apply_refinements slot s refs) })
+          edges
         |> Array.of_list)
+      pred_refs
   in
   let psuccs =
     Array.init nb (fun bi ->
@@ -422,15 +508,21 @@ let make_plan config (f : Prog.func) =
         |> Array.of_list)
   in
   let passume =
-    Array.init nb (fun bi ->
-        List.filter
-          (fun a ->
-            String.equal a.af f.fname && Label.equal a.alabel (Label.of_int bi))
-          config.assumptions)
+    Array.map
+      (List.filter_map (fun a ->
+           if Reg.equal a.areg Reg.zero then None
+           else Some (slot a.areg, a.arange)))
+      assumes
   in
   let scc = Scc.of_cfg cfg in
-  { pf = f; nb; pnregs = 1 + Prog.max_reg_of_func f; rpo; prio; pedges;
-    psuccs; passume; cyclic = Scc.has_cycle scc; pcfg = cfg }
+  { pf = f; nb; pnregs = nregs; pregs; pslot; rpo; prio; pedges; psuccs;
+    passume; cyclic = Scc.has_cycle scc; pcfg = cfg }
+
+(* A compact state with every carried register at ⊤ except [zero]. *)
+let state_top plan =
+  let s = Array.make (Array.length plan.pregs) Interval.top in
+  s.(plan.pslot.(zero_i)) <- Interval.const 0L;
+  s
 
 (* Minimal binary min-heap over worklist priorities. *)
 module Heap = struct
@@ -485,9 +577,12 @@ end
 (* Analyze one function to a fixpoint; returns the join of the return-value
    ranges over all return sites, plus (visits, rounds) effort counters.
 
-   Flow states live in preallocated per-block buffers ([nb] × [nregs]
-   interval arrays); block processing blits and transfers in place, so the
-   steady state allocates nothing per step.
+   Flow states live in preallocated per-block buffers ([nb] compact
+   states over the plan's registers); a block processing loads its
+   in-state into the full-width scratch array, transfers in place and
+   stores the carried registers back as its out-state, so the steady
+   state allocates nothing per step.  Joins, widening and change tests
+   touch carried registers only.
 
    The [Dense] engine is a priority worklist with a round barrier, built
    to be {e sweep-equivalent} to the [Naive] reference (one full
@@ -498,25 +593,34 @@ end
    the visit count the naive engine accumulates, since it revisits every
    reached block once per sweep.  Blocks whose inputs did not change are
    simply never scheduled; processing them would be the identity (widening
-   included: widening an unchanged join keeps both bounds).  Reverse
-   postorder is a topological order of the SCC condensation (see {!Scc}),
-   so acyclic regions converge in a single visit and a fully acyclic
-   function finishes in one round with no narrowing needed. *)
+   included: widening an unchanged join keeps both bounds).  The same
+   holds for a change confined to registers [Dense] does not carry:
+   re-processing would be the identity on every crossing register, so
+   the sparse state drops only such visits.  Reverse postorder is a
+   topological order of the SCC condensation (see {!Scc}), so acyclic
+   regions converge in a single visit and a fully acyclic function
+   finishes in one round with no narrowing needed. *)
 let analyze_func ctx plan ~engine : Interval.t * int * int =
   let f = plan.pf in
   let nb = plan.nb in
-  let nregs = plan.pnregs in
-  let ins_s = Array.init nb (fun _ -> state_top nregs) in
-  let out_s = Array.init nb (fun _ -> state_top nregs) in
+  let ns = Array.length plan.pregs in
+  let ins_s = Array.init nb (fun _ -> state_top plan) in
+  let out_s = Array.init nb (fun _ -> state_top plan) in
   (* [reached.(bi)] — the block's in-state has left ⊥. *)
   let reached = Array.make nb false in
-  let fresh = state_top nregs
-  and tmp = state_top nregs
-  and nxt = state_top nregs in
+  let top = state_top plan in
+  let fresh = state_top plan
+  and tmp = state_top plan
+  and nxt = state_top plan in
+  let scratch = Array.make plan.pnregs Interval.top in
   let entry =
-    let s = state_top nregs in
-    s.(sp_i) <- sp_range;
-    Array.iteri (fun i r -> s.(Reg.to_int (Reg.arg i)) <- r) ctx.args_of;
+    let s = state_top plan in
+    let init r v =
+      let k = plan.pslot.(Reg.to_int r) in
+      if k >= 0 then s.(k) <- v
+    in
+    init Reg.sp sp_range;
+    Array.iteri (fun i r -> init (Reg.arg i) r) ctx.args_of;
     s
   in
   (* Fresh input state of block [bi], into [fresh]: join of refined
@@ -524,18 +628,18 @@ let analyze_func ctx plan ~engine : Interval.t * int * int =
   let compute_in bi =
     let started = ref false in
     if bi = 0 then begin
-      Array.blit entry 0 fresh 0 nregs;
+      Array.blit entry 0 fresh 0 ns;
       started := true
     end;
     let edges = plan.pedges.(bi) in
     for k = 0 to Array.length edges - 1 do
       let e = edges.(k) in
       if reached.(e.e_pred) then begin
-        Array.blit out_s.(e.e_pred) 0 tmp 0 nregs;
+        Array.blit out_s.(e.e_pred) 0 tmp 0 ns;
         if e.e_apply tmp then
           if !started then state_join_into fresh tmp
           else begin
-            Array.blit tmp 0 fresh 0 nregs;
+            Array.blit tmp 0 fresh 0 ns;
             started := true
           end
       end
@@ -543,20 +647,30 @@ let analyze_func ctx plan ~engine : Interval.t * int * int =
     !started
     && begin
          List.iter
-           (fun a ->
-             let i = Reg.to_int a.areg in
-             if i <> zero_i then
-               match Interval.meet fresh.(i) a.arange with
-               | Some m -> fresh.(i) <- m
-               | None -> fresh.(i) <- a.arange)
+           (fun (k, arange) ->
+             match Interval.meet fresh.(k) arange with
+             | Some m -> fresh.(k) <- m
+             | None -> fresh.(k) <- arange)
            plan.passume.(bi);
          true
        end
   in
-  let transfer_block bi state =
+  (* Transfer block [bi] from compact in-state [st]; the out-state is
+     left in [scratch]. *)
+  let transfer_block bi st =
+    let regs = plan.pregs in
+    for k = 0 to ns - 1 do
+      scratch.(regs.(k)) <- st.(k)
+    done;
     let body = f.blocks.(bi).body in
     for k = 0 to Array.length body - 1 do
-      transfer ctx state body.(k)
+      transfer ctx scratch body.(k)
+    done
+  in
+  let store_out bi =
+    let regs = plan.pregs and out = out_s.(bi) in
+    for k = 0 to ns - 1 do
+      out.(k) <- scratch.(regs.(k))
     done
   in
   (* One block processing: recompute the input, join/widen against the
@@ -567,9 +681,8 @@ let analyze_func ctx plan ~engine : Interval.t * int * int =
       let cur = ins_s.(bi) in
       let next =
         if reached.(bi) then begin
-          for i = 0 to nregs - 1 do
-            nxt.(i) <-
-              (if i = zero_i then cur.(i) else Interval.join cur.(i) fresh.(i))
+          for k = 0 to ns - 1 do
+            nxt.(k) <- Interval.join cur.(k) fresh.(k)
           done;
           if widen then widen_into ~old:cur nxt;
           nxt
@@ -577,10 +690,10 @@ let analyze_func ctx plan ~engine : Interval.t * int * int =
         else fresh
       in
       if (not reached.(bi)) || not (state_equal next cur) then begin
-        Array.blit next 0 cur 0 nregs;
+        Array.blit next 0 cur 0 ns;
         reached.(bi) <- true;
-        Array.blit cur 0 out_s.(bi) 0 nregs;
-        transfer_block bi out_s.(bi);
+        transfer_block bi cur;
+        store_out bi;
         `Changed
       end
       else `Unchanged
@@ -675,9 +788,9 @@ let analyze_func ctx plan ~engine : Interval.t * int * int =
       Array.iter
         (fun bi ->
           if compute_in bi then begin
-            Array.blit fresh 0 ins_s.(bi) 0 nregs;
-            Array.blit fresh 0 out_s.(bi) 0 nregs;
-            transfer_block bi out_s.(bi)
+            Array.blit fresh 0 ins_s.(bi) 0 ns;
+            transfer_block bi fresh;
+            store_out bi
           end)
         plan.rpo
     done;
@@ -686,37 +799,27 @@ let analyze_func ctx plan ~engine : Interval.t * int * int =
      processed conservatively from ⊤ so that dead code keeps sound
      (wide) widths — and so their call sites contribute the same ⊤
      argument joins in every engine and round.  For reached blocks,
-     [out_s] already holds the transfer of the stabilized input, so the
-     re-run is needed only when recording (the record callback must see
-     the stabilized states); without recording it would recompute
-     identical states and re-join identical call arguments — a no-op. *)
+     [out_s] already holds the transfer of the stabilized input (so it
+     supplies the return range: [ret] is carried wherever a block
+     returns), and the re-run is needed only when recording (the record
+     callback must see the stabilized states); without recording it
+     would recompute identical states and re-join identical call
+     arguments — a no-op. *)
   let recording = ctx.record <> None in
+  let ret_slot = plan.pslot.(Reg.to_int Reg.ret) in
   let ret = ref None in
   Array.iteri
     (fun bi (b : Prog.block) ->
-      let ret_range =
-        if reached.(bi) then
-          if recording then begin
-            Array.blit ins_s.(bi) 0 tmp 0 nregs;
-            transfer_block bi tmp;
-            tmp.(Reg.to_int Reg.ret)
-          end
-          else out_s.(bi).(Reg.to_int Reg.ret)
-        else begin
-          Array.fill tmp 0 nregs Interval.top;
-          tmp.(zero_i) <- Interval.const 0L;
-          transfer_block bi tmp;
-          tmp.(Reg.to_int Reg.ret)
-        end
-      in
-      match b.term with
-      | Prog.Return when reached.(bi) ->
-        ret :=
-          Some
-            (match !ret with
-            | None -> ret_range
-            | Some acc -> Interval.join acc ret_range)
-      | Prog.Return | Prog.Jump _ | Prog.Branch _ -> ())
+      if not reached.(bi) then transfer_block bi top
+      else begin
+        if recording then transfer_block bi ins_s.(bi);
+        match b.term with
+        | Prog.Return ->
+          let r = out_s.(bi).(ret_slot) in
+          ret :=
+            Some (match !ret with None -> r | Some acc -> Interval.join acc r)
+        | Prog.Jump _ | Prog.Branch _ -> ()
+      end)
     f.blocks;
   (Option.value ~default:Interval.top !ret, !visits, !rounds)
 
@@ -1129,9 +1232,12 @@ let replay_fragment res (f : Prog.func) (fr : Fn_cache.fragment) =
    function's result can influence another's, and each task resolves a
    callee's return from the finals of earlier levels when the callee has
    a smaller index, else from the round-fixpoint snapshot — exactly the
-   view the sequential schedule provides. *)
-let analyze ?(config = default_config) ?(engine = Dense) ?jobs ?fn_cache
-    (p : Prog.t) : result =
+   view the sequential schedule provides.
+
+   [finish res plan] runs right after a function's live recorded pass,
+   in the same task ({!analyze} hangs demand and width assignment
+   there); a cached fragment replays its effect. *)
+let solve ~config ~engine ~jobs ~fn_cache ~finish (p : Prog.t) : result =
   let jobs = match jobs with None -> 1 | Some n -> Pool.resolve_jobs (Some n) in
   let n_iid = max p.next_iid 1 in
   let res =
@@ -1155,7 +1261,9 @@ let analyze ?(config = default_config) ?(engine = Dense) ?jobs ?fn_cache
   List.iter (fun (f : Prog.func) -> Hashtbl.replace func_of f.fname f) p.funcs;
   let funcs = Array.of_list p.funcs in
   let nf = Array.length funcs in
-  let plans = Array.of_list (Pool.map ~jobs (make_plan config) p.funcs) in
+  let plans =
+    Array.of_list (Pool.map ~jobs (make_plan config engine) p.funcs)
+  in
   let cg = Callgraph.compute p in
   let add_stats v r =
     res.stats <- { visits = res.stats.visits + v; rounds = res.stats.rounds + r }
@@ -1217,10 +1325,8 @@ let analyze ?(config = default_config) ?(engine = Dense) ?jobs ?fn_cache
             | None -> () (* never called: keep ⊤ *)))
       p.funcs
   done;
-  (* Final recorded pass, then demand and width assignment per function,
-     levelized so the sequential summary-visibility order is preserved. *)
-  let ops : Instr.t option array = Array.make n_iid None in
-  Prog.iter_all_ins p (fun _ _ ins -> ops.(ins.iid) <- Some ins.op);
+  (* Final recorded pass per function, levelized so the sequential
+     summary-visibility order is preserved. *)
   let index_of = Hashtbl.create 16 in
   Array.iteri (fun i (f : Prog.func) -> Hashtbl.replace index_of f.fname i) funcs;
   let level = Array.make (max nf 1) 0 in
@@ -1258,8 +1364,7 @@ let analyze ?(config = default_config) ?(engine = Dense) ?jobs ?fn_cache
                 arg_acc = None; record = Some res }
             in
             let ret, v, r = analyze_func ctx plans.(i) ~engine in
-            useful_pass config res f plans.(i).pcfg ops;
-            assign_widths res f;
+            finish res plans.(i);
             (ret, v, r)
           in
           match fn_cache with
@@ -1294,6 +1399,20 @@ let analyze ?(config = default_config) ?(engine = Dense) ?jobs ?fn_cache
   Metrics.add m_fixpoint_iters (float_of_int res.stats.rounds);
   Metrics.add m_fixpoint_visits (float_of_int res.stats.visits);
   res
+
+(* Ranges only: what the spill-slot width oracle reads. *)
+let ranges p =
+  Span.with_ ~name:"vrp:ranges" (fun () ->
+      solve ~config:default_config ~engine:Dense ~jobs:None ~fn_cache:None
+        ~finish:(fun _ _ -> ()) p)
+
+let analyze ?(config = default_config) ?(engine = Dense) ?jobs ?fn_cache
+    (p : Prog.t) : result =
+  let ops : Instr.t option array = Array.make (max p.next_iid 1) None in
+  Prog.iter_all_ins p (fun _ _ ins -> ops.(ins.iid) <- Some ins.op);
+  solve ~config ~engine ~jobs ~fn_cache p ~finish:(fun res plan ->
+      useful_pass config res plan.pf plan.pcfg ops;
+      assign_widths res plan.pf)
 
 let range_of res iid = get res.ranges iid
 let useful_width_of res iid = get res.reqs iid

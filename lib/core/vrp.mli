@@ -69,8 +69,13 @@ type result
     worklist over int-indexed per-block state buffers, ordered by reverse
     postorder — a topological order of the SCC condensation — with a round
     barrier that makes it sweep-equivalent to [Naive]; acyclic regions
-    converge in one visit.  [Naive] is the retained reference engine: full
-    reverse-postorder sweeps until quiescence.  Both produce bit-identical
+    converge in one visit.  Its per-block states carry only the
+    function's block-crossing registers (read somewhere before being
+    written in the same block, read by a terminator or an edge
+    refinement, or constrained by an assumption); every other register
+    lives in one scratch array during a block's transfer.  [Naive] is the
+    retained reference engine: full reverse-postorder sweeps until
+    quiescence over the full register state.  Both produce bit-identical
     results; the property tests check it. *)
 type engine = Dense | Naive
 
@@ -115,6 +120,16 @@ val analyze :
   ?fn_cache:Fn_cache.t ->
   Prog.t ->
   result
+
+(** [ranges prog] runs the forward analysis alone, with the default
+    config, the [Dense] engine and one job: the interprocedural summary
+    rounds and the final recorded pass, but neither the demand analysis
+    nor width assignment.  The result answers {!range_of},
+    {!input_ranges_of}, {!return_range} and {!fixpoint_stats} exactly as
+    [analyze prog] would; {!useful_width_of} and {!width_of} answer
+    [None].  Records a [vrp:ranges] span.  This is the spill-slot width
+    oracle of register allocation. *)
+val ranges : Prog.t -> result
 
 (** [range_of result iid] is the interval of the value produced by
     instruction [iid] ([None] for instructions producing no value or

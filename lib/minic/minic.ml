@@ -1,3 +1,5 @@
+module Span = Ogc_obs.Span
+
 exception Error of string
 
 let wrap_pos what msg (pos : Ast.pos) =
@@ -14,6 +16,7 @@ let parse src =
   | Typecheck.Error (msg, pos) -> wrap_pos "semantic error" msg pos
 
 let lower src =
+  Span.with_ ~name:"minic:lower" @@ fun () ->
   let ast = parse src in
   try
     let prog = Codegen.gen_program ast in
@@ -27,16 +30,20 @@ let lower src =
 let compile_with_info src =
   let prog = lower src in
   try
-    (* The width oracle runs VRP on the pre-allocation program so spill
-       slots can be sized from proven value ranges; it is forced only if
-       some function actually spills. *)
-    let vrp = lazy (Ogc_core.Vrp.analyze ~jobs:1 prog) in
+    (* The width oracle runs VRP's forward pass on the pre-allocation
+       program so spill slots can be sized from proven value ranges; it
+       is forced only if some function actually spills, so its
+       [vrp:ranges] span nests under [regalloc]. *)
+    let vrp = lazy (Ogc_core.Vrp.ranges prog) in
     let width_of iid =
       match Ogc_core.Vrp.range_of (Lazy.force vrp) iid with
       | Some r -> Ogc_core.Interval.width r
       | None -> Ogc_isa.Width.W64
     in
-    let info = Ogc_regalloc.Regalloc.program ~width_of prog in
+    let info =
+      Span.with_ ~name:"regalloc" (fun () ->
+          Ogc_regalloc.Regalloc.program ~width_of prog)
+    in
     Ogc_ir.Validate.program prog;
     (prog, info)
   with

@@ -235,9 +235,20 @@ let accept_pause_s = 0.1
 
 let run l ~on_drain handle =
   ignore_sigpipe ();
+  (* Failed accepts of the current out-of-descriptors episode: the first
+     is logged, the rest only counted, and the count is logged once when
+     an accept succeeds again or the listener stops. *)
+  let failures = ref 0 in
+  let recovered () =
+    if !failures > 0 then begin
+      warn l "accept recovered" [ ("failures", J.Int !failures) ];
+      failures := 0
+    end
+  in
   while not (Atomic.get l.stopping) do
     match Unix.accept l.lfd with
     | fd, _ ->
+      recovered ();
       if Atomic.get l.stopping then close_fd fd
       else begin
         Mutex.lock l.m;
@@ -255,10 +266,15 @@ let run l ~on_drain handle =
       (* Out of descriptors: the connection stays queued until one is
          released.  Pause rather than spin; the loop then re-checks
          [stopping], because [stop]'s wake-up connect needs a descriptor
-         too and may have failed. *)
-      warn l "accept failed" [ ("error", J.Str (Unix.error_message e)) ];
+         too and may have failed.  Linux fails [accept] at once here
+         even with no connection queued, so only an episode's first
+         failure is logged. *)
+      if !failures = 0 then
+        warn l "accept failed" [ ("error", J.Str (Unix.error_message e)) ];
+      incr failures;
       Thread.delay accept_pause_s
   done;
+  recovered ();
   on_drain ();
   close_fd l.lfd;
   (match l.addr with

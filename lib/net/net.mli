@@ -76,8 +76,12 @@ val run : listener -> on_drain:(unit -> unit) -> (string -> string) -> unit
     dropped"].  A line longer than {!max_line_bytes} gets one
     [{"status":"error",...}] reply naming the limit, a warn line, and
     the connection closes.  When [accept] runs out of descriptors
-    ([EMFILE]/[ENFILE]) the loop logs ["NAME: accept failed"] at warn,
-    pauses 100 ms and tries again.
+    ([EMFILE]/[ENFILE]) the loop pauses 100 ms and tries again.  The
+    first failure of such an episode is logged at warn as ["NAME:
+    accept failed"]; the rest are only counted, and when an accept
+    succeeds again, or the listener stops, one ["NAME: accept
+    recovered"] warn line carries the episode's count of failed
+    accepts ([failures]).
 
     Once stopped: [on_drain ()], then close the listener and unlink its
     socket file, shut down the receive side of every live connection (a

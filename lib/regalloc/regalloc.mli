@@ -10,7 +10,8 @@
 
     Spill slots are width-aware: each slot is sized from the proven
     value range of the spilled temporary's definitions (the [width_of]
-    callback, backed by VRP on the pre-allocation program), so spill
+    callback, which [Ogc_minic.Minic] backs with the ranges-only VRP,
+    [Ogc_core.Vrp.ranges], on the pre-allocation program), so spill
     stores and reloads move only the live bytes.  Reloads are signed
     and ranges are measured with the signed width, so narrow negative
     values round-trip exactly.

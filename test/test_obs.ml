@@ -9,6 +9,7 @@ module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
 module Log = Ogc_obs.Log
 module Protocol = Ogc_server.Protocol
+module Minic = Ogc_minic.Minic
 
 (* Registration happens once, at module init, like production code. *)
 let m_hist =
@@ -267,6 +268,45 @@ let test_span_ids_and_context () =
   let outer_sid = arg_of "outer" "span_id" in
   Alcotest.(check bool) "inner nests under outer" true
     (arg_of "inner" "parent_span" = outer_sid)
+
+(* --- spans of the layers under compile_with_info ------------------------- *)
+
+(* The begin events of a traced [Minic.compile_with_info] of an example
+   program, run under a trace context so each span records its parent. *)
+let traced_compile file =
+  let src =
+    In_channel.with_open_bin ("../examples/" ^ file) In_channel.input_all
+  in
+  Span.reset ();
+  Span.set_enabled true;
+  Fun.protect ~finally:(fun () -> Span.set_enabled false; Span.reset ())
+  @@ fun () ->
+  Span.with_context (Some { Span.trace = "t-compile"; parent = 0 }) (fun () ->
+      ignore (Minic.compile_with_info src));
+  span_ids_of (Span.export ())
+
+let spans_named name spans =
+  List.filter (fun (e, _) -> J.member "name" e = J.Str name) spans
+
+(* Lowering and allocation get a span each; the width oracle runs only
+   when a function spills, and then inside allocation. *)
+let test_compile_layer_spans () =
+  let one spans name =
+    match spans_named name spans with
+    | [ (e, id) ] -> (J.member "args" e, id)
+    | l -> Alcotest.failf "%d %s spans" (List.length l) name
+  in
+  let spans = traced_compile "register_pressure.mc" in
+  ignore (one spans "minic:lower");
+  let _, regalloc_id = one spans "regalloc" in
+  let oracle, _ = one spans "vrp:ranges" in
+  Alcotest.(check bool) "vrp:ranges nests in regalloc" true
+    (J.member "parent_span" oracle = J.Int regalloc_id);
+  let spans = traced_compile "dotprod.mc" in
+  ignore (one spans "minic:lower");
+  ignore (one spans "regalloc");
+  Alcotest.(check int) "no width oracle without a spill" 0
+    (List.length (spans_named "vrp:ranges" spans))
 
 let test_span_drop_accounting () =
   Span.reset ();
@@ -547,6 +587,7 @@ let () =
             test_span_ids_and_context;
           Alcotest.test_case "drop accounting" `Quick
             test_span_drop_accounting;
+          Alcotest.test_case "compile layers" `Quick test_compile_layer_spans;
           q prop_merged_fleet_well_formed ] );
       ( "flight",
         [ Alcotest.test_case "ring bounds and ordering" `Quick

@@ -2,13 +2,19 @@
 
    The dense worklist engine is sweep-equivalent by construction: its
    round barrier makes it visit exactly the blocks a full
-   reverse-postorder sweep would find changed, so every externally
-   observable analysis fact — per-instruction ranges, useful widths,
+   reverse-postorder sweep would find changed, and its per-block states
+   carry only the block-crossing registers while the naive engine
+   carries every register.  So every externally observable analysis
+   fact — per-instruction ranges and input ranges, useful widths,
    assigned widths, per-function return summaries, and the re-encoded
    program itself — must be byte-identical to the naive engine's, on any
    program, at any [--jobs].  These properties pin that contract down on
-   generated MiniC and raw-IR programs, and check the SCC-ordering fact
-   the priority worklist relies on. *)
+   generated MiniC from all three generator families (allocated, and
+   pre-allocation, where most registers are block-local virtual
+   temporaries) and on raw IR, each under random block-entry assumptions
+   or none; they check that the ranges-only entry point agrees with the
+   full analysis, and the SCC-ordering fact the priority worklist relies
+   on. *)
 
 open Ogc_isa
 module Label = Ogc_ir.Label
@@ -37,24 +43,24 @@ let str_of_range = function
 
 let str_of_width = function None -> "-" | Some w -> Width.to_string w
 
-(* Every externally observable fact of [ra] and [rb] must agree on [p];
-   [what] names the two engines in the failure message. *)
-let same_results ~what p ra rb =
-  let n = max_iid p in
-  for iid = 0 to n do
+let str_of_inputs = function
+  | None -> "-"
+  | Some (a, b) -> Interval.to_string a ^ "," ^ Interval.to_string b
+
+(* Every range fact of [ra] and [rb] must agree on [p]: per-instruction
+   ranges and input ranges, and per-function return ranges; [what] names
+   the two analyses in the failure message. *)
+let same_ranges ~what p ra rb =
+  for iid = 0 to max_iid p do
     let a = str_of_range (Vrp.range_of ra iid)
     and b = str_of_range (Vrp.range_of rb iid) in
     if a <> b then
       QCheck.Test.fail_reportf "%s: range of iid %d: %s vs %s" what iid a b;
-    let a = str_of_width (Vrp.useful_width_of ra iid)
-    and b = str_of_width (Vrp.useful_width_of rb iid) in
+    let a = str_of_inputs (Vrp.input_ranges_of ra iid)
+    and b = str_of_inputs (Vrp.input_ranges_of rb iid) in
     if a <> b then
-      QCheck.Test.fail_reportf "%s: useful width of iid %d: %s vs %s" what iid
-        a b;
-    let a = str_of_width (Vrp.width_of ra iid)
-    and b = str_of_width (Vrp.width_of rb iid) in
-    if a <> b then
-      QCheck.Test.fail_reportf "%s: width of iid %d: %s vs %s" what iid a b
+      QCheck.Test.fail_reportf "%s: input ranges of iid %d: %s vs %s" what iid
+        a b
   done;
   List.iter
     (fun (f : Prog.func) ->
@@ -65,6 +71,24 @@ let same_results ~what p ra rb =
           f.fname a b)
     p.Prog.funcs;
   true
+
+(* Every width fact too: useful and assigned widths. *)
+let same_widths ~what p ra rb =
+  for iid = 0 to max_iid p do
+    let a = str_of_width (Vrp.useful_width_of ra iid)
+    and b = str_of_width (Vrp.useful_width_of rb iid) in
+    if a <> b then
+      QCheck.Test.fail_reportf "%s: useful width of iid %d: %s vs %s" what iid
+        a b;
+    let a = str_of_width (Vrp.width_of ra iid)
+    and b = str_of_width (Vrp.width_of rb iid) in
+    if a <> b then
+      QCheck.Test.fail_reportf "%s: width of iid %d: %s vs %s" what iid a b
+  done;
+  true
+
+let same_results ~what p ra rb =
+  same_ranges ~what p ra rb && same_widths ~what p ra rb
 
 (* Dense and naive must also re-encode identically and preserve output. *)
 let same_reencoding p =
@@ -82,21 +106,99 @@ let same_reencoding p =
     QCheck.Test.fail_reportf "re-encoded checksums differ: %Ld vs %Ld" cd cn;
   true
 
+let reg_of_index i =
+  if i < Reg.num_arch then Reg.of_int i else Reg.vreg (i - Reg.num_arch)
+
+(* Block-entry assumptions on arbitrary registers of each function, or
+   none (a third of the draws): any register index up to the function's
+   highest (carried or block-local alike), or one the function defines —
+   in pre-allocation code mostly a block-local temporary, whose assumed
+   range is never observed. *)
+let gen_assumptions (p : Prog.t) =
+  let open QCheck.Gen in
+  let per_func (f : Prog.func) =
+    let defs = ref [] in
+    Prog.iter_ins f (fun _ ins -> defs := Instr.defs ins.Prog.op @ !defs);
+    let reg =
+      if !defs = [] then map reg_of_index (int_bound (Prog.max_reg_of_func f))
+      else
+        oneof
+          [ map reg_of_index (int_bound (Prog.max_reg_of_func f));
+            oneofl !defs ]
+    in
+    list_size (int_range 0 6)
+      (let* bi = int_bound (Array.length f.Prog.blocks - 1) in
+       let* areg = reg in
+       let* lo = int_range (-300) 300 in
+       let* len = int_bound 600 in
+       return
+         { Vrp.af = f.Prog.fname; alabel = Label.of_int bi; areg;
+           arange = Interval.v (Int64.of_int lo) (Int64.of_int (lo + len)) })
+  in
+  frequency
+    [ (1, return []);
+      (2, map List.concat (flatten_l (List.map per_func p.Prog.funcs))) ]
+
+(* Dense == naive on [p] under the assumptions drawn from [seed]. *)
+let dense_eq_naive ~what p seed =
+  let assumptions = gen_assumptions p (Random.State.make [| seed |]) in
+  let config = { Vrp.default_config with assumptions } in
+  let rd = Vrp.analyze ~config ~engine:Vrp.Dense p in
+  let rn = Vrp.analyze ~config ~engine:Vrp.Naive p in
+  let what =
+    Printf.sprintf "%s, %d assumptions" what (List.length assumptions)
+  in
+  same_results ~what p rd rn && same_reencoding p
+
+(* One generator per [Gen_minic] family, tagged with its name. *)
+let arbitrary_family_program =
+  let families =
+    [ ("plain", Gen_minic.program); ("pressure", Gen_minic.pressure_program);
+      ("zero", Gen_minic.zero_program) ]
+  in
+  QCheck.make
+    ~print:(fun (fam, src) -> fam ^ " program:\n" ^ src)
+    QCheck.Gen.(
+      oneofl families >>= fun (fam, g) -> map (fun src -> (fam, src)) g)
+
 let prop_dense_eq_naive_minic =
   QCheck.Test.make ~name:"dense == naive on generated MiniC" ~count:60
-    Gen_minic.arbitrary_program (fun src ->
-      let p = Minic.compile src in
-      let rd = Vrp.analyze ~engine:Vrp.Dense p in
-      let rn = Vrp.analyze ~engine:Vrp.Naive p in
-      same_results ~what:"dense vs naive (minic)" p rd rn
-      && same_reencoding p)
+    QCheck.(pair arbitrary_family_program int)
+    (fun ((fam, src), seed) ->
+      dense_eq_naive ~what:("dense vs naive (" ^ fam ^ ")") (Minic.compile src)
+        seed)
 
 let prop_dense_eq_naive_ir =
   QCheck.Test.make ~name:"dense == naive on generated raw IR" ~count:60
-    Gen_ir.arbitrary_program (fun p ->
-      let rd = Vrp.analyze ~engine:Vrp.Dense p in
-      let rn = Vrp.analyze ~engine:Vrp.Naive p in
-      same_results ~what:"dense vs naive (ir)" p rd rn && same_reencoding p)
+    QCheck.(pair Gen_ir.arbitrary_program int)
+    (fun (p, seed) -> dense_eq_naive ~what:"dense vs naive (ir)" p seed)
+
+let prop_dense_eq_naive_prealloc =
+  QCheck.Test.make ~name:"dense == naive on pre-allocation MiniC" ~count:45
+    QCheck.(pair arbitrary_family_program int)
+    (fun ((fam, src), seed) ->
+      dense_eq_naive
+        ~what:("dense vs naive (pre-allocation " ^ fam ^ ")")
+        (Minic.lower src) seed)
+
+(* The ranges-only entry point runs the same solver without demand and
+   width assignment: every range, input range, return range and effort
+   counter agrees with the full analysis, and it assigns no widths. *)
+let prop_ranges_eq_analyze =
+  QCheck.Test.make ~name:"ranges == analyze on every range" ~count:45
+    arbitrary_family_program (fun (fam, src) ->
+      List.for_all
+        (fun (stage, p) ->
+          let what = Printf.sprintf "ranges vs analyze (%s %s)" stage fam in
+          let ra = Vrp.analyze p and rr = Vrp.ranges p in
+          same_ranges ~what p ra rr
+          && (Vrp.fixpoint_stats ra = Vrp.fixpoint_stats rr
+             || QCheck.Test.fail_reportf "%s: fixpoint effort differs" what)
+          && List.for_all
+               (fun iid -> Vrp.width_of rr iid = None)
+               (List.init (max_iid p + 1) Fun.id))
+        [ ("pre-allocation", Minic.lower src);
+          ("allocated", Minic.compile src) ])
 
 let prop_jobs_identical =
   QCheck.Test.make ~name:"dense identical at --jobs 1/2/8" ~count:30
@@ -169,6 +271,8 @@ let () =
           [
             prop_dense_eq_naive_minic;
             prop_dense_eq_naive_ir;
+            prop_dense_eq_naive_prealloc;
+            prop_ranges_eq_analyze;
             prop_jobs_identical;
             prop_scc_topological;
           ] );
