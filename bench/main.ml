@@ -5,11 +5,8 @@
    all binary versions (baseline, conventional VRP, proposed VRP, VRS at
    the five specialization costs) are built and simulated on the Table 2
    machine under every gating policy the experiment needs.  The grid is
-   sharded over a Domain pool (lib/exec) — see --jobs.
-
-   Part 2 runs one Bechamel micro-benchmark per experiment, timing the
-   analysis/simulation kernel that produces it (on small fixed inputs, so
-   the numbers are stable).
+   sharded over a Domain pool (lib/exec) — see --jobs.  Ablations of the
+   design choices DESIGN.md calls out follow.
 
    Usage: dune exec bench/main.exe -- [OPTIONS]
      --quick               train inputs and only the VRS-50 configuration
@@ -22,15 +19,14 @@
      --baseline FILE       gate against a previous --json file: exit 3 on
                            regression, 65 if FILE is malformed or of an
                            older format (re-bless it), 66 if unreadable;
-                           skips the micro-benchmarks
+                           skips the ablations
      --trace FILE          record phase spans during the collection and
                            write a Chrome trace_event JSON (Perfetto)
-     --skip-micro          skip the ablations and micro-benchmarks *)
+     --skip-micro          skip the ablations *)
 
 module Results = Ogc_harness.Results
 module Experiments = Ogc_harness.Experiments
 module Json = Ogc_json.Json
-module Minic = Ogc_minic.Minic
 module Interp = Ogc_ir.Interp
 module Vrp = Ogc_core.Vrp
 module Vrs = Ogc_core.Vrs
@@ -42,7 +38,7 @@ type options = {
   json_out : string option;
   baseline : string option;
   trace_out : string option;
-  skip_micro : bool;
+  skip_ablations : bool;
 }
 
 let usage () =
@@ -60,7 +56,7 @@ let parse_options () =
         json_out = None;
         baseline = None;
         trace_out = None;
-        skip_micro = false;
+        skip_ablations = false;
       }
   in
   let rec go = function
@@ -69,7 +65,7 @@ let parse_options () =
       o := { !o with quick = true };
       go rest
     | "--skip-micro" :: rest ->
-      o := { !o with skip_micro = true };
+      o := { !o with skip_ablations = true };
       go rest
     | "--jobs" :: v :: rest -> (
       match int_of_string_opt v with
@@ -188,14 +184,14 @@ let () =
     Ogc_obs.Metrics.set_enabled true;
     Ogc_obs.Span.set_enabled true
   end;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ogc_obs.Clock.now () in
   let cpu0 = Sys.time () in
   let res, phases =
     Results.collect_timed ~quick ~jobs
       ~progress:(fun s -> Format.eprintf "[%s] %!" s)
       ()
   in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Ogc_obs.Clock.since t0 in
   Format.eprintf "@.";
   (match opts.trace_out with
   | None -> ()
@@ -292,7 +288,7 @@ let () =
 
 (* --- part 1b: ablations of the design choices DESIGN.md calls out ------------- *)
 
-let () = if opts.skip_micro then () else begin
+let () = if opts.skip_ablations then () else begin
   Format.printf "%s"
     (Ogc_harness.Render.heading "Ablations (train inputs, two workloads)");
   let module W = Ogc_workloads.Workload in
@@ -523,143 +519,4 @@ let () = if opts.skip_micro then () else begin
     "(Word-level ranges dominate for width assignment — the paper's S5\n\
      rationale for ranges over per-bit tracking; per-bit wins are\n\
      alignment facts that rarely reduce width.)@."
-end
-
-(* --- part 2: Bechamel micro-benchmarks per experiment ------------------------- *)
-
-(* Small fixed inputs for the kernels. *)
-let small_src = {|
-  int data[256];
-  int main() {
-    for (int i = 0; i < 256; i++) data[i] = (i & 7) == 0 ? i : 3;
-    long acc = 0;
-    for (int r = 0; r < 4; r++)
-      for (int i = 0; i < 256; i++) { int v = data[i]; acc += v * v; }
-    emit(acc);
-    return 0;
-  }
-|}
-
-let small_prog () = Minic.compile small_src
-
-let bench_tests =
-  let open Bechamel in
-  let t name f = Test.make ~name (Staged.stage f) in
-  let prog = small_prog () in
-  let vrp_res = Vrp.analyze prog in
-  let values = Array.init 256 (fun i -> Int64.of_int ((i * 7919) - 1000)) in
-  let machine = Ogc_cpu.Machine_config.default in
-  [
-    (* Table 1: deriving the savings matrix from the energy model. *)
-    t "table1/savings-matrix" (fun () ->
-        Ogc_core.Savings_table.matrix
-          (Ogc_core.Savings_table.of_params Ogc_energy.Energy_params.default));
-    (* Table 2: the machine parameter table. *)
-    t "table2/machine-config" (fun () -> Ogc_cpu.Machine_config.rows machine);
-    (* Table 3 / Figures 2 and 7: dynamic width classification. *)
-    t "table3/width-classify" (fun () ->
-        let h = Hashtbl.create 16 in
-        Ogc_ir.Prog.iter_all_ins prog (fun _ _ ins ->
-            let key =
-              (Ogc_isa.Instr.iclass ins.Ogc_ir.Prog.op,
-               Ogc_isa.Instr.width ins.Ogc_ir.Prog.op)
-            in
-            Hashtbl.replace h key
-              (1 + Option.value ~default:0 (Hashtbl.find_opt h key)));
-        h);
-    (* Figure 2: the VRP analysis itself (proposed variant). *)
-    t "fig2/vrp-analyze" (fun () -> Vrp.analyze (small_prog ()));
-    (* Figure 3: energy accounting of one simulated run. *)
-    t "fig3/simulate-sw" (fun () ->
-        Ogc_cpu.Pipeline.simulate ~policy:Policy.Software prog);
-    (* Figure 4: candidate profiling (TNV tables). *)
-    t "fig4/tnv-profile" (fun () ->
-        let tnv = Ogc_core.Tnv.create () in
-        Array.iter (fun v -> Ogc_core.Tnv.observe tnv (Int64.rem v 7L)) values;
-        Ogc_core.Tnv.candidate_ranges tnv);
-    (* Figure 5: constant propagation + DCE. *)
-    t "fig5/constprop" (fun () ->
-        let p = small_prog () in
-        let r = Vrp.analyze p in
-        Ogc_core.Constprop.run r p);
-    (* Figure 6: basic-block profiled execution. *)
-    t "fig6/bb-profile" (fun () ->
-        let counts : Interp.bb_counts = Hashtbl.create 16 in
-        Interp.run ~bb_counts:counts prog);
-    (* Figure 7: re-encoding (width application). *)
-    t "fig7/vrp-apply" (fun () ->
-        let p = small_prog () in
-        Vrp.apply vrp_res p);
-    (* Figure 8: the full VRS pipeline on the small program. *)
-    t "fig8/vrs-pipeline" (fun () -> Vrs.run (small_prog ()));
-    (* Figure 9: per-structure energy accounting. *)
-    t "fig9/energy-account" (fun () ->
-        let a = Ogc_energy.Account.create Ogc_energy.Energy_params.default in
-        for i = 0 to 999 do
-          Ogc_energy.Account.charge a Ogc_energy.Energy_params.Alu
-            ~active_bytes:(1 + (i land 7)) ~tag_bits:0
-        done;
-        Ogc_energy.Account.by_structure a);
-    (* Figure 10: the out-of-order timing model (ungated). *)
-    t "fig10/simulate-timing" (fun () ->
-        Ogc_cpu.Pipeline.simulate ~policy:Policy.No_gating prog);
-    (* Figure 11: ED^2 metric computations. *)
-    t "fig11/ed2-metrics" (fun () ->
-        Array.map
-          (fun v ->
-            Ogc_energy.Account.ed2 ~energy:(Int64.to_float v) ~cycles:12345)
-          values);
-    (* Figure 12: significance classification of values. *)
-    t "fig12/sigbytes" (fun () ->
-        Array.map Ogc_gating.Sigbytes.significant_bytes values);
-    (* Figure 13: hardware-gated simulation. *)
-    t "fig13/simulate-hw" (fun () ->
-        Ogc_cpu.Pipeline.simulate ~policy:Policy.Hw_size prog);
-    (* Figure 14: branch predictor + cache kernels. *)
-    t "fig14/bpred-cache" (fun () ->
-        let b = Ogc_cpu.Bpred.of_config machine in
-        let c = Ogc_cpu.Cache.create machine.Ogc_cpu.Machine_config.dcache in
-        for i = 0 to 999 do
-          let pc = (i * 13) land 1023 in
-          ignore (Ogc_cpu.Bpred.predict b ~pc);
-          Ogc_cpu.Bpred.update b ~pc ~taken:(i land 3 <> 0);
-          ignore (Ogc_cpu.Cache.access c (Int64.of_int (i * 64)))
-        done);
-    (* Figure 15: cooperative-policy active-byte computation. *)
-    t "fig15/cooperative-bytes" (fun () ->
-        Array.map
-          (fun v ->
-            Policy.active_bytes Policy.Sw_plus_significance ~width:Ogc_isa.Width.W32
-              ~value:v)
-          values);
-  ]
-
-let () = if opts.skip_micro then () else begin
-  let open Bechamel in
-  Format.printf "%s"
-    (Ogc_harness.Render.heading "Bechamel micro-benchmarks (one per experiment)");
-  let cfg =
-    Benchmark.cfg ~limit:100 ~quota:(Time.second 0.2) ~kde:None ()
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-            let pretty =
-              if est > 1e6 then Printf.sprintf "%8.2f ms" (est /. 1e6)
-              else if est > 1e3 then Printf.sprintf "%8.2f us" (est /. 1e3)
-              else Printf.sprintf "%8.0f ns" est
-            in
-            Format.printf "  %-28s %s / run@." name pretty
-          | _ -> Format.printf "  %-28s (no estimate)@." name)
-        analyzed)
-    bench_tests
 end

@@ -31,10 +31,13 @@ type assumption = {
 type config = {
   useful : bool;
   useful_through_arith : bool;
-  widen_after : int;
-  interproc_rounds : int;
   assumptions : assumption list;
 }
+
+(* Visits of a reached block before its join widens, and sweeps of
+   summary refinement over the call graph. *)
+let widen_after = 3
+let interproc_rounds = 2
 
 (* [useful_through_arith] defaults to on: the paper's introductory example
    (a dependence chain feeding an AND mask computes only one byte) requires
@@ -48,8 +51,6 @@ let default_config =
   {
     useful = true;
     useful_through_arith = true;
-    widen_after = 3;
-    interproc_rounds = 2;
     assumptions = [];
   }
 
@@ -700,7 +701,7 @@ let analyze_func ctx plan ~engine : Interval.t * int * int =
     end
   in
   let visits = ref 0 and rounds = ref 0 in
-  let wa = ctx.config.widen_after in
+  let wa = widen_after in
   (match engine with
   | Naive ->
     (* Reference engine: full reverse-postorder sweeps until no in-state
@@ -1147,9 +1148,7 @@ let func_digest ~config ~engine ~gaddr ~args ~ret_of ~callees
     Printf.sprintf "%Ld:%Ld" i.Interval.lo i.Interval.hi
   in
   add (match engine with Dense -> "dense" | Naive -> "naive");
-  add
-    (Printf.sprintf "%b %b %d %d" config.useful config.useful_through_arith
-       config.widen_after config.interproc_rounds);
+  add (Printf.sprintf "%b %b" config.useful config.useful_through_arith);
   List.iter
     (fun a ->
       if String.equal a.af f.fname then
@@ -1279,7 +1278,7 @@ let solve ~config ~engine ~jobs ~fn_cache ~finish (p : Prog.t) : result =
     | None -> Interval.top
   in
   let indices = List.init nf Fun.id in
-  for _round = 1 to config.interproc_rounds do
+  for _round = 1 to interproc_rounds do
     (* One sweep: recompute every return summary and collect call-site
        argument ranges with the current (frozen) summaries. *)
     let tasks =
@@ -1439,15 +1438,15 @@ let apply res (p : Prog.t) =
         | Instr.Call _ | Instr.Emit _ -> ()))
 
 let run ?config ?jobs ?fn_cache p =
-  Span.with_ ~name:"vrp" (fun () ->
-      let t0 = if Metrics.enabled () then Unix.gettimeofday () else 0.0 in
-      let res = analyze ?config ?jobs ?fn_cache p in
-      apply res p;
-      if t0 > 0.0 then begin
-        Metrics.incr m_runs;
-        Metrics.observe m_pass_seconds (Unix.gettimeofday () -. t0)
-      end;
-      res)
+  let res, dt =
+    Span.timed ~name:"vrp" (fun () ->
+        let res = analyze ?config ?jobs ?fn_cache p in
+        apply res p;
+        res)
+  in
+  Metrics.incr m_runs;
+  Metrics.observe m_pass_seconds dt;
+  res
 
 let input_ranges_of res iid = get res.inputs iid
 

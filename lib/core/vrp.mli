@@ -15,7 +15,7 @@
       result to the full range of the operation width (§2.2.1).
     - {b Loops} (§2.3): instead of the paper's syntactic [x = ax+b] trip
       count, the engine applies directional widening at join points after
-      [widen_after] visits and then re-narrows; combined with branch
+      three visits and then re-narrows; combined with branch
       refinement this yields the paper's example result (iterator
       [<0,99>] inside a [for (i=0;i<100;i++)] loop) while also covering
       loops the syntactic method gives up on.
@@ -54,9 +54,9 @@ type config = {
   useful : bool;
       (** enable useful-range backward propagation (the "Proposed VRP" of
           Figure 2); [false] gives the conventional VRP baseline *)
-  useful_through_arith : bool;  (** ablation extension, default [false] *)
-  widen_after : int;  (** visits of a block before widening; default 3 *)
-  interproc_rounds : int;  (** summary refinement rounds; default 2 *)
+  useful_through_arith : bool;
+      (** let demand flow through wrapping arithmetic (default [true];
+          [false] is the paper-literal ablation) *)
   assumptions : assumption list;
 }
 

@@ -18,27 +18,21 @@ let m_cand_no_benefit =
 
 type config = {
   test_cost_nj : float;
-  hot_fraction : float;
-  max_candidates : int;
-  min_freq : float;
-  tnv_capacity : int;
-  train_config : Interp.config;
   constprop : bool;  (* fold/eliminate inside clones (ablation knob) *)
 }
 
 (* The default guard cost approximates the full pipeline energy of one
    extra instruction; the harness sweeps it (paper Figure 8's VRS 30-110nJ
    configurations). *)
-let default_config =
-  {
-    test_cost_nj = 1.5;
-    hot_fraction = 0.001;
-    max_candidates = 256;
-    min_freq = 0.4;
-    tnv_capacity = 8;
-    train_config = Interp.default_config;
-    constprop = true;
-  }
+let default_config = { test_cost_nj = 1.5; constprop = true }
+
+(* Candidate selection: a candidate's block must account for
+   [hot_fraction] of the training run's dynamic instructions, at most
+   [max_candidates] are profiled, and a range must reach [min_freq] to
+   be worth guarding. *)
+let hot_fraction = 0.001
+let max_candidates = 256
+let min_freq = 0.4
 
 type outcome =
   | Specialized of { lo : int64; hi : int64; freq : float; benefit : float }
@@ -176,7 +170,7 @@ let eligible_dst (ins : Prog.ins) =
    positive best-case savings estimate.  The per-configuration guard-cost
    screening and ranking happen in {!select_for}, so one master list (and
    one set of value profiles) serves a whole guard-cost sweep. *)
-let master_candidates config ~table ~vrp (p : Prog.t) counts ~total_dyn =
+let master_candidates ~table ~vrp (p : Prog.t) counts ~total_dyn =
   let cands = ref [] in
   List.iter
     (fun (f : Prog.func) ->
@@ -192,7 +186,7 @@ let master_candidates config ~table ~vrp (p : Prog.t) counts ~total_dyn =
             let count = inst_count ins.iid in
             let hot =
               float_of_int count
-              >= config.hot_fraction *. float_of_int total_dyn
+              >= hot_fraction *. float_of_int total_dyn
               && count > 0
             in
             let wide =
@@ -236,7 +230,7 @@ let select_for config master =
   let sorted =
     List.sort (fun a b -> Float.compare (prelim b) (prelim a)) screened
   in
-  List.filteri (fun i _ -> i < config.max_candidates) sorted
+  List.filteri (fun i _ -> i < max_candidates) sorted
 
 (* --- the transformation (paper §3.4) ---------------------------------------- *)
 
@@ -445,7 +439,7 @@ let candidate_iids a = List.map (fun c -> c.c_iid) a.a_master
    instruction; the paper's nJ labels (the Figure 8 sweep) scale it. *)
 let cost_of_label l = float_of_int l *. 0.03
 
-let analyze_inner config ?vrp ?bb ?values (p : Prog.t) =
+let analyze_inner ?vrp ?bb ?values (p : Prog.t) =
   let table = Savings_table.default in
   (* Step 0: VRP pass; VRS builds on re-encoded code.  A caller that
      already ran it (the pass manager) hands the result in. *)
@@ -458,11 +452,11 @@ let analyze_inner config ?vrp ?bb ?values (p : Prog.t) =
       let counts : Interp.bb_counts = Hashtbl.create 64 in
       let train1 =
         Span.with_ ~name:"vrs:train" (fun () ->
-            Interp.run ~config:config.train_config ~bb_counts:counts p)
+            Interp.run ~bb_counts:counts p)
       in
       (counts, train1.Interp.steps)
   in
-  let master = master_candidates config ~table ~vrp:vrp1 p counts ~total_dyn in
+  let master = master_candidates ~table ~vrp:vrp1 p counts ~total_dyn in
   (* Step 2: value-profile every master candidate on the training input.
      Each TNV table only sees its own instruction's values, so profiling
      the (cost-independent) superset leaves per-candidate profiles
@@ -480,18 +474,18 @@ let analyze_inner config ?vrp ?bb ?values (p : Prog.t) =
           Option.value ~default:[] (Hashtbl.find_opt tbl c.c_iid)
         in
         Hashtbl.replace profiles c.c_iid
-          (Tnv.of_entries ~capacity:config.tnv_capacity entries))
+          (Tnv.of_entries entries))
       master
   | None ->
     let samplers = Hashtbl.create 64 in
     List.iter
       (fun c ->
-        let t = Tnv.create ~capacity:config.tnv_capacity () in
+        let t = Tnv.create () in
         Hashtbl.replace profiles c.c_iid t;
         Hashtbl.replace samplers c.c_iid (Tnv.observe t))
       master;
     Span.with_ ~name:"vrs:profile" (fun () ->
-        ignore (Interp.run ~config:config.train_config ~profile:samplers p)));
+        ignore (Interp.run ~profile:samplers p)));
   { a_vrp = vrp1; a_counts = counts; a_master = master; a_profiles = profiles }
 
 (* Steps 4-5, shared by full VRS and the zero-specialization variant:
@@ -547,7 +541,7 @@ let specialize_with ~span ~ranges config (a : analysis) (p : Prog.t) =
   let best_range c f =
     match
       List.filter
-        (fun (_, _, freq) -> freq >= config.min_freq)
+        (fun (_, _, freq) -> freq >= min_freq)
         (ranges (Hashtbl.find a.a_profiles c.c_iid))
     with
     | [] -> None
@@ -645,9 +639,8 @@ let zero_range tnv =
   | ((0L, 0L, _) as zero) :: _ -> [ zero ]
   | _ -> []
 
-let analyze ?(config = default_config) ?vrp ?bb ?values (p : Prog.t) =
-  Span.with_ ~name:"vrs:analyze" (fun () ->
-      analyze_inner config ?vrp ?bb ?values p)
+let analyze ?vrp ?bb ?values (p : Prog.t) =
+  Span.with_ ~name:"vrs:analyze" (fun () -> analyze_inner ?vrp ?bb ?values p)
 
 let specialize ?(config = default_config) a (p : Prog.t) =
   specialize_with ~span:"vrs:specialize" ~ranges:Tnv.candidate_ranges config a
@@ -658,4 +651,4 @@ let specialize_zero ?(config = default_config) a (p : Prog.t) =
 
 let run ?(config = default_config) (p : Prog.t) =
   Span.with_ ~name:"vrs" (fun () ->
-      specialize ~config (analyze_inner config p) p)
+      specialize ~config (analyze_inner p) p)

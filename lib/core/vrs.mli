@@ -34,13 +34,6 @@ type config = {
   test_cost_nj : float;
       (** energy charged per executed guard instruction when weighing a
           specialization, the paper's 30-110 nJ sweep knob *)
-  hot_fraction : float;
-      (** a candidate's block must account for at least this fraction of
-          the training run's dynamic instructions (default 0.001) *)
-  max_candidates : int;  (** profiling budget (default 256) *)
-  min_freq : float;  (** minimum Freq(min,max) worth guarding (default 0.4) *)
-  tnv_capacity : int;
-  train_config : Interp.config;
   constprop : bool;
       (** run constant propagation / DCE inside the clones (default
           [true]; an ablation knob) *)
@@ -90,7 +83,7 @@ val profiled_points : analysis -> int
     sample. *)
 val candidate_iids : analysis -> int list
 
-(** [analyze ?config ?vrp ?bb ?values prog] runs the front half on
+(** [analyze ?vrp ?bb ?values prog] runs the front half on
     [prog].  [vrp] hands in an already-computed-and-applied initial VRP
     result (the analysis is then pure); without it, [Vrp.run] re-encodes
     [prog] in place first.  [bb] hands in training basic-block counts
@@ -101,10 +94,11 @@ val candidate_iids : analysis -> int list
     rebuilt with {!Tnv.of_entries}, and candidates absent from [values]
     profile as never-observed (so they specialize to nothing).  With
     both [bb] and [values], the analysis runs no interpreter at all.
-    Only [hot_fraction], [tnv_capacity] and [train_config] of [config]
-    are consulted — the analysis is independent of the guard cost. *)
+    The analysis is independent of the guard cost: a candidate's block
+    must account for at least 0.1% of the training run's dynamic
+    instructions, the 256 most promising candidates are profiled, and
+    each keeps an 8-entry TNV table. *)
 val analyze :
-  ?config:config ->
   ?vrp:Vrp.result ->
   ?bb:Interp.bb_counts * int ->
   ?values:(int, (int64 * int) list) Hashtbl.t ->
@@ -123,7 +117,7 @@ val specialize : ?config:config -> analysis -> Prog.t -> report
 (** [specialize_zero ?config analysis prog] is {!specialize} with each
     candidate restricted to one range (the AZP-style [zspec] pass): only
     candidates whose tightest profiled range is exactly [0,0] at
-    frequency >= [min_freq] are considered, each guarded by the
+    frequency >= 0.4 are considered, each guarded by the
     single-instruction zero test, cloned, and constant-folded under the
     x = 0 assumption.  Same candidate loop, in-place contract and
     [ogc_vrs_candidates_total] outcome counts as {!specialize}; a cheap

@@ -1,15 +1,10 @@
-type stats = {
-  jobs : int;
-  wall_s : float;
-  task_s : float array;
-}
-
 (* Pool telemetry (lib/obs).  The gauges update unconditionally so they
    cannot drift if metrics are toggled between a submit and the matching
    task start; counters and histograms are no-ops unless metrics are
    enabled. *)
 module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
+module Clock = Ogc_obs.Clock
 
 let m_queue_depth = Metrics.gauge "ogc_pool_queue_depth"
 let m_busy = Metrics.gauge "ogc_pool_busy_workers"
@@ -54,11 +49,19 @@ type t = {
    awaiters never miss the transition. *)
 type 'a outcome = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
 
-type 'a ticket = {
-  pool : t;
-  mutable outcome : 'a outcome;
-  mutable secs : float;
-}
+type 'a ticket = { pool : t; mutable outcome : 'a outcome }
+
+(* Run one task, recording its run time; never raises. *)
+let run_task f =
+  let t0 = Clock.now () in
+  let o =
+    match f () with
+    | v -> Done v
+    | exception e -> Failed (e, Printexc.get_raw_backtrace ())
+  in
+  Metrics.observe m_job_run (Clock.since t0);
+  Metrics.incr m_jobs_total;
+  o
 
 let worker p () =
   let continue = ref true in
@@ -117,27 +120,17 @@ let carry_trace f =
 
 let submit p f =
   let f = carry_trace f in
-  let tk = { pool = p; outcome = Pending; secs = 0.0 } in
-  let enqueued = if Metrics.enabled () then Unix.gettimeofday () else 0.0 in
+  let tk = { pool = p; outcome = Pending } in
+  (* [None]: metrics were off at submit time, so no wait sample. *)
+  let enqueued = if Metrics.enabled () then Some (Clock.now ()) else None in
   let task () =
     Metrics.gauge_add m_queue_depth (-1);
     Metrics.gauge_add m_busy 1;
-    let t0 = Unix.gettimeofday () in
-    (* [enqueued = 0.] means metrics were off at submit time; skip the
-       wait sample rather than record a bogus epoch-relative delta. *)
-    if enqueued > 0.0 then Metrics.observe m_job_wait (t0 -. enqueued);
-    let o =
-      match f () with
-      | v -> Done v
-      | exception e -> Failed (e, Printexc.get_raw_backtrace ())
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    Metrics.observe m_job_run dt;
-    Metrics.incr m_jobs_total;
+    Option.iter (fun t -> Metrics.observe m_job_wait (Clock.since t)) enqueued;
+    let o = run_task f in
     Metrics.gauge_add m_busy (-1);
     Mutex.lock p.m;
     tk.outcome <- o;
-    tk.secs <- dt;
     Condition.broadcast p.progress;
     Mutex.unlock p.m
   in
@@ -152,7 +145,7 @@ let submit p f =
   Mutex.unlock p.m;
   tk
 
-(* Outcome and task time, blocking; does not re-raise. *)
+(* The task's outcome, blocking; does not re-raise. *)
 let wait_outcome tk =
   let p = tk.pool in
   let is_pending () =
@@ -162,17 +155,15 @@ let wait_outcome tk =
   while is_pending () do
     Condition.wait p.progress p.m
   done;
-  let o = tk.outcome and secs = tk.secs in
+  let o = tk.outcome in
   Mutex.unlock p.m;
-  (o, secs)
+  o
 
-let await_timed tk =
+let await tk =
   match wait_outcome tk with
-  | Done v, secs -> (v, secs)
-  | Failed (e, bt), _ -> Printexc.raise_with_backtrace e bt
-  | Pending, _ -> assert false
-
-let await tk = fst (await_timed tk)
+  | Done v -> v
+  | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+  | Pending -> assert false
 
 let shutdown p =
   Mutex.lock p.m;
@@ -191,50 +182,28 @@ let shutdown p =
 (* Lowest-index failure wins, for a deterministic error report; every
    task runs even when an earlier one failed. *)
 let raise_first_failure outcomes =
-  Array.iter
+  List.iter
     (function
       | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
       | Pending | Done _ -> ())
     outcomes
 
-let map_timed ?jobs f xs =
+let map ?jobs f xs =
   let n = List.length xs in
   let jobs = clamp_jobs (min (resolve_jobs jobs) (max 1 n)) in
-  let t0 = Unix.gettimeofday () in
-  let outcomes, task_s =
-    if jobs = 1 then begin
+  let outcomes =
+    if jobs = 1 then
       (* Sequential fallback: no domain is ever spawned. *)
-      let outcomes = Array.make n Pending in
-      let task_s = Array.make n 0.0 in
-      List.iteri
-        (fun i x ->
-          let s0 = Unix.gettimeofday () in
-          (outcomes.(i) <-
-             (match f x with
-             | v -> Done v
-             | exception e -> Failed (e, Printexc.get_raw_backtrace ())));
-          task_s.(i) <- Unix.gettimeofday () -. s0;
-          Metrics.observe m_job_run task_s.(i);
-          Metrics.incr m_jobs_total)
-        xs;
-      (outcomes, task_s)
-    end
+      List.map (fun x -> run_task (fun () -> f x)) xs
     else begin
       let p = create ~jobs () in
       let tickets = List.map (fun x -> submit p (fun () -> f x)) xs in
-      let pairs = List.map wait_outcome tickets in
+      let outcomes = List.map wait_outcome tickets in
       shutdown p;
-      (Array.of_list (List.map fst pairs),
-       Array.of_list (List.map snd pairs))
+      outcomes
     end
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
   raise_first_failure outcomes;
-  let values =
-    Array.map
-      (function Done v -> v | Pending | Failed _ -> assert false)
-      outcomes
-  in
-  (Array.to_list values, { jobs; wall_s; task_s })
-
-let map ?jobs f xs = fst (map_timed ?jobs f xs)
+  List.map
+    (function Done v -> v | Pending | Failed _ -> assert false)
+    outcomes

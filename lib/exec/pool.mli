@@ -6,7 +6,7 @@
       {!shutdown}) for long-lived services: worker domains are spawned
       once and reused across many submissions — the [ogc serve]
       optimization daemon keeps one for its whole lifetime;
-    - {b one-shot maps} ({!map} / {!map_timed}) for embarrassingly
+    - {b one-shot maps} ({!map}) for embarrassingly
       parallel task lists — the experiment harness shards its workload ×
       binary-version × policy grid this way.
 
@@ -25,13 +25,6 @@
     When a map's resolved degree is 1 (single-core machine, [OGC_JOBS=1])
     no domain is ever spawned and the map degrades to a plain sequential
     loop.  A persistent pool always has at least one worker domain. *)
-
-(** Instrumentation of one [map_timed] run. *)
-type stats = {
-  jobs : int;  (** worker count actually used *)
-  wall_s : float;  (** wall-clock of the whole map *)
-  task_s : float array;  (** per-task wall-clock, in submission order *)
-}
 
 val jobs_from_env : unit -> int option
 (** [OGC_JOBS] as a positive integer, or [None] when unset/unparsable. *)
@@ -73,9 +66,6 @@ val await : 'a ticket -> 'a
 (** Block until the task has run; return its value or re-raise its
     exception (with the worker-side backtrace). *)
 
-val await_timed : 'a ticket -> 'a * float
-(** {!await} plus the task's wall-clock seconds. *)
-
 val shutdown : t -> unit
 (** Graceful drain: stop accepting work, let the queue empty, join every
     worker domain.  Tasks already submitted all run to completion and
@@ -86,6 +76,3 @@ val shutdown : t -> unit
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map over a fresh pool (spawned and joined
     inside the call; degree 1 runs inline without domains). *)
-
-val map_timed : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list * stats
-(** [map] plus per-task and whole-run timing. *)

@@ -3,6 +3,7 @@ module Net = Ogc_net.Net
 module Protocol = Ogc_server.Protocol
 module Pool = Ogc_exec.Pool
 module Metrics = Ogc_obs.Metrics
+module Clock = Ogc_obs.Clock
 
 type config = {
   addr : Net.addr;
@@ -208,9 +209,9 @@ let client cfg ~completed ~kill c_idx =
   let i = ref c_idx in
   while !i < cfg.requests do
     let line = traced_line cfg !i (request_line cfg !i) in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let ok = submit line in
-    Metrics.observe m_lat (Unix.gettimeofday () -. t0);
+    Metrics.observe m_lat (Clock.since t0);
     if ok then tally.c_ok <- tally.c_ok + 1
     else tally.c_failed <- tally.c_failed + 1;
     let done_now = 1 + Atomic.fetch_and_add completed 1 in
@@ -237,7 +238,7 @@ let run ?kill cfg =
   let kill =
     Option.map (fun (at, f) -> (at, Atomic.make false, f)) kill
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   let tallies =
     Fun.protect
       ~finally:(fun () -> Metrics.set_enabled was_enabled)
@@ -246,7 +247,7 @@ let run ?kill cfg =
           (client { cfg with clients } ~completed ~kill)
           (List.init clients Fun.id))
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Clock.since t0 in
   let after = fst (Metrics.histogram_counts m_lat) in
   let sum f = List.fold_left (fun acc t -> acc + f t) 0 tallies in
   let total = cfg.requests in

@@ -38,7 +38,6 @@ let create ?(vnodes = 128) shards =
   build vnodes members
 
 let shards t = t.members
-let vnodes t = t.vnodes
 
 let add t s =
   if List.mem s t.members then t

@@ -27,8 +27,6 @@ val create : ?vnodes:int -> string list -> t
 val shards : t -> string list
 (** Member shards, sorted. *)
 
-val vnodes : t -> int
-
 val add : t -> string -> t
 (** Ring with one more shard (no-op if already a member). *)
 

@@ -6,6 +6,7 @@ module Metrics = Ogc_obs.Metrics
 module Log = Ogc_obs.Log
 module Span = Ogc_obs.Span
 module Flight = Ogc_obs.Flight
+module Clock = Ogc_obs.Clock
 module Net = Ogc_net.Net
 
 type target = { t_name : string; t_addr : Net.addr }
@@ -13,7 +14,6 @@ type target = { t_name : string; t_addr : Net.addr }
 type config = {
   addr : Net.addr;
   shards : target list;
-  vnodes : int;
   pool_size : int;
   max_waiters : int;
   replicas : int;
@@ -25,7 +25,6 @@ type config = {
 let default_config ~addr ~shards =
   { addr;
     shards;
-    vnodes = 128;
     pool_size = 8;
     max_waiters = 64;
     replicas = 2;
@@ -170,7 +169,7 @@ let create cfg =
   let names = List.map (fun s -> s.t_name) cfg.shards in
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then invalid_arg "Router.create: duplicate shard names";
-  let ring = Ring.create ~vnodes:cfg.vnodes names in
+  let ring = Ring.create names in
   let shard_tbl =
     List.map
       (fun s ->
@@ -205,7 +204,7 @@ let create cfg =
     ring;
     shard_tbl;
     listener = Net.listen ~name:"ogc-router" cfg.addr;
-    started = Unix.gettimeofday ();
+    started = Clock.now ();
     m = Mutex.create ();
     requests = 0;
     routed = 0;
@@ -269,7 +268,7 @@ let candidates t rkey ~hits ~promoted =
     end
     else names
   in
-  let now = Unix.gettimeofday () in
+  let now = Clock.now () in
   let shards = List.map (shard_of t) names in
   let up, down = List.partition (fun s -> s.down_until <= now) shards in
   up @ down
@@ -322,7 +321,7 @@ let launch_attempt cell idx sh ~traced line why =
   Mutex.unlock cell.cm;
   let roundtrip line =
     let record_error () =
-      sh.down_until <- Unix.gettimeofday () +. down_cooldown;
+      sh.down_until <- Clock.now () +. down_cooldown;
       Mutex.lock cell.cm;
       cell.errored <- cell.errored + 1;
       Mutex.unlock cell.cm
@@ -331,12 +330,11 @@ let launch_attempt cell idx sh ~traced line why =
     | exception _ -> record_error ()
     | c -> (
       if Metrics.enabled () then Metrics.incr sh.m_requests;
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.now () in
       match Net.call c line with
       | resp ->
         Conns.release sh.s_conns c;
-        if Metrics.enabled () then
-          Metrics.observe sh.m_seconds (Unix.gettimeofday () -. t0);
+        Metrics.observe sh.m_seconds (Clock.since t0);
         sh.down_until <- 0.0;
         Mutex.lock cell.cm;
         if cell.response = None then cell.response <- Some (idx, resp);
@@ -425,7 +423,7 @@ let forward t ~t0 ~id ~hedge ?traced line cands =
       if idx > 0 then locked t (fun () -> t.hedge_wins <- t.hedge_wins + 1);
       resp
     | None ->
-      let now = Unix.gettimeofday () in
+      let now = Clock.now () in
       if errored >= launched then
         (* Every launched attempt failed: fail over immediately. *)
         if launch `Failover then begin
@@ -563,15 +561,18 @@ let fleet_trace_json t =
 (* --- request handling ------------------------------------------------------ *)
 
 (* Router-minted trace ids: unique across restarts and co-located
-   processes without any coordination. *)
+   processes without any coordination.  The entropy is a wall timestamp,
+   not a {!Clock} reading: a restarted router must not mint its
+   predecessor's ids. *)
 let mint_trace =
   let counter = Atomic.make 0 in
   fun () ->
+    let entropy = Unix.gettimeofday () in
     Digest.to_hex
       (Digest.string
          (Printf.sprintf "%d/%d/%.6f" (Unix.getpid ())
             (Atomic.fetch_and_add counter 1)
-            (Unix.gettimeofday ())))
+            entropy))
 
 (* The response status without a full JSON parse: the envelope always
    renders ["status"] early, and the flight record must not make the
@@ -612,7 +613,7 @@ let stats_json t =
     counters
   in
   Array.sort compare lats;
-  let now = Unix.gettimeofday () in
+  let now = Clock.now () in
   J.Obj
     [ ("role", J.Str "router");
       ("uptime_s", J.Float (now -. t.started));
@@ -641,7 +642,7 @@ let stats_json t =
             t.shard_tbl)) ]
 
 let handle_line t line =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   locked t (fun () -> t.requests <- t.requests + 1);
   (* Flight-record facts filled in as the request progresses. *)
   let fl_id = ref None and fl_trace = ref None and fl_key = ref "" in
@@ -755,7 +756,7 @@ let handle_line t line =
           end
         in
         maybe_promote t ckey rkey ~hits resp;
-        record_latency t ((Unix.gettimeofday () -. t0) *. 1000.0);
+        record_latency t (Clock.since t0 *. 1000.0);
         resp)
   in
   Flight.record
@@ -768,8 +769,8 @@ let handle_line t line =
       f_hedged = !fl_hedged;
       f_cache = "";
       f_outcome = status_of_line response;
-      f_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-      f_ts = t0 };
+      f_ms = Clock.since t0 *. 1000.0;
+      f_ts = Unix.gettimeofday () };
   response
 
 (* --- lifecycle ------------------------------------------------------------ *)
@@ -793,5 +794,5 @@ let run t =
   List.iter (fun (_, sh) -> Conns.close_idle sh.s_conns) t.shard_tbl;
   Log.info "ogc-router: stopped"
     ~fields:
-      [ ("uptime_s", J.Float (Unix.gettimeofday () -. t.started));
+      [ ("uptime_s", J.Float (Clock.since t.started));
         ("requests", J.Int (locked t (fun () -> t.requests))) ]

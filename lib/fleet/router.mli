@@ -65,7 +65,6 @@ type target = { t_name : string; t_addr : Ogc_net.Net.addr }
 type config = {
   addr : Ogc_net.Net.addr;  (** where the router listens *)
   shards : target list;
-  vnodes : int;  (** ring points per shard *)
   pool_size : int;  (** connections per shard *)
   max_waiters : int;  (** queued acquires per shard before failover *)
   replicas : int;  (** copies of a promoted hot result, primary included *)
@@ -75,7 +74,7 @@ type config = {
 }
 
 val default_config : addr:Ogc_net.Net.addr -> shards:target list -> config
-(** [vnodes = 128], [pool_size = 8], [max_waiters = 64], [replicas = 2],
+(** [pool_size = 8], [max_waiters = 64], [replicas = 2],
     [promote_after = 3], adaptive hedging, [request_timeout_ms = 30_000].
     Shard connects time out after {!Ogc_net.Net.connect}'s 1 s. *)
 

@@ -12,6 +12,7 @@ module Pool = Ogc_exec.Pool
 module Regalloc = Ogc_regalloc.Regalloc
 module Json = Ogc_json.Json
 module Span = Ogc_obs.Span
+module Clock = Ogc_obs.Clock
 module Pass = Ogc_pass.Pass
 
 let vrs_costs = [ 110; 90; 70; 50; 30 ]
@@ -221,9 +222,8 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
   in
   (* Phase 1: one task per workload — compile, reference run, baseline
      binary under the three hardware-side policies. *)
-  let ph1_t0 = Unix.gettimeofday () in
-  let base_infos =
-    Span.with_ ~name:"collect:baselines" @@ fun () ->
+  let base_infos, ph1_s =
+    Span.timed ~name:"collect:baselines" @@ fun () ->
     Pool.map ~jobs
       (fun (w : Workload.t) ->
         progress w.name;
@@ -250,20 +250,19 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
         })
       selected
   in
-  let ph1_s = Unix.gettimeofday () -. ph1_t0 in
   (* Phase 2: warm each workload's store with the shared analysis front
      (VRP fixpoint, training basic-block profile, TNV value profiles) on
      the train input, so the phase-3 cost-sweep cells — which run
      concurrently — all hit it instead of recomputing it per cost. *)
-  let ph2_t0 = Unix.gettimeofday () in
-  (Span.with_ ~name:"collect:analyses" @@ fun () ->
-   ignore
-     (Pool.map ~jobs
-        (fun bi ->
-          progress (bi.bw.Workload.name ^ "/analyze");
-          ignore (run_pass_chain bi Workload.Train profile_chain))
-        base_infos));
-  let ph_an_s = Unix.gettimeofday () -. ph2_t0 in
+  let (), ph_an_s =
+    Span.timed ~name:"collect:analyses" @@ fun () ->
+    ignore
+      (Pool.map ~jobs
+         (fun bi ->
+           progress (bi.bw.Workload.name ^ "/analyze");
+           ignore (run_pass_chain bi Workload.Train profile_chain))
+         base_infos)
+  in
   (* Phase 3: one task per (workload, binary version) cell. *)
   let versions = V_vrp :: V_vrp_conv :: List.map (fun l -> V_vrs l) costs in
   let cells =
@@ -316,18 +315,16 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
       in
       R_vrs { label; stats; summary = summarize_report rep; anchor }
   in
-  let ph3_t0 = Unix.gettimeofday () in
-  let cell_results =
-    Span.with_ ~name:"collect:versions" (fun () -> Pool.map ~jobs run_cell cells)
+  let cell_results, ph3_s =
+    Span.timed ~name:"collect:versions" (fun () ->
+        Pool.map ~jobs run_cell cells)
   in
-  let ph3_s = Unix.gettimeofday () -. ph3_t0 in
   (* Phase 4: analyze-throughput microbench, one [Vrp.analyze] per
      workload on the cleaned train-scaled program.  Runs sequentially —
      the numbers feed the CI regression gate, and co-scheduling them with
      other tasks would put domain contention into the timings. *)
-  let ph4_t0 = Unix.gettimeofday () in
-  let analyze =
-    Span.with_ ~name:"collect:analyze-bench" @@ fun () ->
+  let analyze, ph4_s =
+    Span.timed ~name:"collect:analyze-bench" @@ fun () ->
     List.map
       (fun bi ->
         progress (bi.bw.Workload.name ^ "/analyze-bench");
@@ -336,16 +333,16 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
         let best = ref infinity in
         let last = ref None in
         for _ = 1 to 5 do
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.now () in
           let r = Vrp.analyze p in
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Clock.since t0 in
           if dt < !best then best := dt;
           last := Some r
         done;
         let r = match !last with Some r -> r | None -> assert false in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now () in
         ignore (Vrp.analyze ~engine:Vrp.Naive p);
-        let naive_s = Unix.gettimeofday () -. t0 in
+        let naive_s = Clock.since t0 in
         let st = Vrp.fixpoint_stats r in
         ( bi.bw.Workload.name,
           {
@@ -357,7 +354,6 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
           } ))
       base_infos
   in
-  let ph4_s = Unix.gettimeofday () -. ph4_t0 in
   (* Reassemble in workload order: cells were emitted per workload, in
      [versions] order, and the pool preserves submission order. *)
   let nversions = List.length versions in

@@ -84,9 +84,10 @@ type wres = {
 }
 
 (** One workload's analyze-throughput microbench (sequential, train
-    input, after cleanup): dense {!Ogc_core.Vrp.analyze} wall seconds
-    (best of 5), the retained naive reference engine's seconds (one
-    repetition), and the dense engine's deterministic effort counters. *)
+    input, after cleanup): dense {!Ogc_core.Vrp.analyze} seconds on
+    {!Ogc_obs.Clock} (best of 5), the retained naive reference engine's
+    seconds (one repetition), and the dense engine's deterministic
+    effort counters. *)
 type analyze_bench = {
   ab_seconds : float;
   ab_naive_seconds : float;
@@ -139,14 +140,15 @@ val collect_timed :
   ?jobs:int ->
   unit ->
   t * (string * float) list
-(** {!collect} plus per-phase wall seconds, in phase order (currently
-    ["baselines"] — compile + reference run + hardware-gated baselines —
-    then ["analyses"] — per-workload warm-up of the shared VRS analysis
-    front in the pass-artifact store — then ["versions"] — the
-    (workload × binary version) grid of pass chains — then
-    ["analyze-bench"] — the sequential analyze-throughput microbench).
-    The phases also appear as {!Ogc_obs.Span} spans when tracing is
-    on. *)
+(** {!collect} plus per-phase seconds on {!Ogc_obs.Clock}, in phase
+    order (currently ["baselines"] — compile + reference run +
+    hardware-gated baselines — then ["analyses"] — per-workload warm-up
+    of the shared VRS analysis front in the pass-artifact store — then
+    ["versions"] — the (workload × binary version) grid of pass chains —
+    then ["analyze-bench"] — the sequential analyze-throughput
+    microbench).
+    Each phase is one {!Ogc_obs.Span.timed} extent: with tracing on,
+    its [collect:*] span spans exactly the seconds reported here. *)
 
 (** {1 Serialization}
 
@@ -210,7 +212,7 @@ val gated : t -> row list
 
 val rows_to_json : phases:(string * float) list -> row list -> Ogc_json.Json.t
 (** Format [ogc-results] version 2: [rows] maps ["series/key"] to the
-    value, and [phases] holds per-phase wall seconds, which nothing
+    value, and [phases] holds per-phase seconds, which nothing
     gates. *)
 
 val rows_of_json : Ogc_json.Json.t -> (string * float) list

@@ -1,0 +1,2 @@
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+let since t0 = now () -. t0

@@ -11,7 +11,7 @@ type record = {
   f_cache : string; (* "hit" | "miss" | "" *)
   f_outcome : string; (* response status *)
   f_ms : float; (* end-to-end duration *)
-  f_ts : float; (* Unix seconds at completion *)
+  f_ts : float; (* wall-clock Unix seconds at completion *)
 }
 
 let dummy =
@@ -29,7 +29,6 @@ let total_ = ref 0
 let slow_ms_ = ref None
 
 let set_slow_ms v = Mutex.lock m; slow_ms_ := v; Mutex.unlock m
-let slow_ms () = Mutex.lock m; let v = !slow_ms_ in Mutex.unlock m; v
 
 let to_json r =
   let opt k = function Some v -> [ (k, J.Str v) ] | None -> [] in

@@ -23,8 +23,10 @@ type record = {
   f_hedged : bool;
   f_cache : string;  (** ["hit"] | ["miss"] | [""] *)
   f_outcome : string;  (** response status *)
-  f_ms : float;  (** end-to-end duration *)
-  f_ts : float;  (** Unix seconds at completion *)
+  f_ms : float;  (** end-to-end duration, on {!Clock} *)
+  f_ts : float;
+      (** wall-clock Unix seconds at completion: a point in time to
+          line records up with logs, not a duration *)
 }
 
 val capacity : int
@@ -36,8 +38,6 @@ val record : record -> unit
 
 val set_slow_ms : float option -> unit
 (** Slow-request auto-capture threshold; [None] (default) disables. *)
-
-val slow_ms : unit -> float option
 
 val snapshot : unit -> record list
 (** The retained records, oldest first. *)

@@ -4,11 +4,10 @@ let enabled_flag = Atomic.make false
 let epoch = Atomic.make 0.0 (* trace clock origin, set on enable *)
 
 let set_enabled b =
-  if b then Atomic.set epoch (Unix.gettimeofday ());
+  if b then Atomic.set epoch (Clock.now ());
   Atomic.set enabled_flag b
 
 let enabled () = Atomic.get enabled_flag
-let now_us () = (Unix.gettimeofday () -. Atomic.get epoch) *. 1e6
 
 (* Span/flow ids.  One process-wide counter: span ids are unique within
    a process but NOT across processes, so anything that must match on
@@ -111,34 +110,57 @@ let ring_for_current () =
   Mutex.unlock rings_m;
   r
 
-let emit r ph ename eid eargs =
-  let ts = now_us () in
+(* [t] is a {!Clock} reading; the event's [ts] is µs since enable. *)
+let emit_at r t ph ename eid eargs =
+  let ts = (t -. Atomic.get epoch) *. 1e6 in
   Mutex.lock r.rm;
   if r.total >= capacity then Metrics.incr m_dropped;
   r.buf.(r.total mod capacity) <- { ph; ename; ts; eid; eargs };
   r.total <- r.total + 1;
   Mutex.unlock r.rm
 
+let emit r ph ename eid eargs = emit_at r (Clock.now ()) ph ename eid eargs
+
+(* A recorded span: the two clock readings that stamp its B and E
+   events are also the duration it returns, so a histogram fed from
+   that duration and the trace cannot disagree. *)
+let traced ~args ~name f =
+  let r = ring_for_current () in
+  let sid = fresh_id () in
+  let ctx = current () in
+  let targs =
+    match ctx with
+    | None -> [ ("span_id", J.Int sid) ]
+    | Some c ->
+      [ ("span_id", J.Int sid); ("trace_id", J.Str c.trace);
+        ("parent_span", J.Int c.parent) ]
+  in
+  let t0 = Clock.now () in
+  emit_at r t0 'B' name sid (args @ targs);
+  let run () =
+    match ctx with
+    | None -> f ()
+    | Some c -> with_context (Some { c with parent = sid }) f
+  in
+  match run () with
+  | v ->
+    let t1 = Clock.now () in
+    emit_at r t1 'E' name sid [];
+    (v, t1 -. t0)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    emit r 'E' name sid [];
+    Printexc.raise_with_backtrace e bt
+
 let with_ ?(args = []) ~name f =
-  if not (enabled ()) then f ()
+  if not (enabled ()) then f () else fst (traced ~args ~name f)
+
+let timed ?(args = []) ~name f =
+  if enabled () then traced ~args ~name f
   else begin
-    let r = ring_for_current () in
-    let sid = fresh_id () in
-    let ctx = current () in
-    let targs =
-      match ctx with
-      | None -> [ ("span_id", J.Int sid) ]
-      | Some c ->
-        [ ("span_id", J.Int sid); ("trace_id", J.Str c.trace);
-          ("parent_span", J.Int c.parent) ]
-    in
-    emit r 'B' name sid (args @ targs);
-    let run () =
-      match ctx with
-      | None -> f ()
-      | Some c -> with_context (Some { c with parent = sid }) f
-    in
-    Fun.protect ~finally:(fun () -> emit r 'E' name sid []) run
+    let t0 = Clock.now () in
+    let v = f () in
+    (v, Clock.since t0)
   end
 
 let instant ?(args = []) name =

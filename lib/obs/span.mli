@@ -20,8 +20,8 @@
     processes.
 
     Disabled by default: [with_] is then an atomic load, a branch and a
-    tail call of [f].  Timestamps are microseconds relative to the
-    moment tracing was last enabled. *)
+    tail call of [f].  Timestamps are {!Clock} readings, in microseconds
+    relative to the moment tracing was last enabled. *)
 
 val set_enabled : bool -> unit
 (** Enabling (re)starts the trace clock; it does not clear events
@@ -36,6 +36,14 @@ val with_ : ?args:(string * Ogc_json.Json.t) list -> name:string ->
     span's [span_id] and — under an ambient context — [trace_id] and
     [parent_span]. *)
 
+val timed : ?args:(string * Ogc_json.Json.t) list -> name:string ->
+  (unit -> 'a) -> 'a * float
+(** {!with_} that also returns the thunk's duration in {!Clock}
+    seconds, measured whether or not tracing is on.  When it is, the
+    span's [E.ts - B.ts] is that same duration (in µs): both come from
+    one pair of clock readings, so a histogram fed from it agrees with
+    the trace.  An exception still closes the span and propagates. *)
+
 val instant : ?args:(string * Ogc_json.Json.t) list -> string -> unit
 (** A zero-duration marker ([ph = "i"], thread scope). *)
 
@@ -49,18 +57,9 @@ type ctx = { trace : string; parent : int }
 val current : unit -> ctx option
 (** The calling thread's ambient context, if any. *)
 
-val set_context : ctx option -> unit
-(** Install (or clear) the calling thread's ambient context.  Prefer
-    {!with_context}, which restores the previous value. *)
-
 val with_context : ctx option -> (unit -> 'a) -> 'a
 (** Run the thunk under the given ambient context, restoring the
     previous one afterwards (also on exception). *)
-
-val fresh_id : unit -> int
-(** Next process-unique span id — for code that needs to name a span id
-    before opening the span (the router labels each shard attempt's wire
-    context this way). *)
 
 val flow_out : id:int -> unit
 (** Emit a flow-start ([ph = "s"]) bound to the enclosing slice. *)

@@ -231,8 +231,7 @@ let specialize_pass ~name ~doc ~specialized
         let a = ensure_profile st in
         let config =
           {
-            Vrs.default_config with
-            test_cost_nj = Vrs.cost_of_label (cfg_int "cost" cfg);
+            Vrs.test_cost_nj = Vrs.cost_of_label (cfg_int "cost" cfg);
             constprop = cfg_bool "constprop" cfg;
           }
         in
@@ -533,7 +532,6 @@ type step = {
   t_pass : string;
   t_config : J.t;
   t_cached : bool;
-  t_seconds : float;
   t_summary : string;
 }
 
@@ -579,18 +577,15 @@ let run_chain ?store ?wire chain prog =
             t_pass = inst.pass.name;
             t_config = inst.config;
             t_cached = true;
-            t_seconds = 0.0;
             t_summary = "reused cached artifact";
           }
         end
         else begin
-          let t0 = Unix.gettimeofday () in
-          let summary =
-            Span.with_ ~name:("pass:" ^ inst.pass.name)
+          let summary, dt =
+            Span.timed ~name:("pass:" ^ inst.pass.name)
               ~args:[ ("config", inst.config) ]
               (fun () -> inst.pass.exec inst.config st)
           in
-          let dt = Unix.gettimeofday () -. t0 in
           mark m_runs inst.pass.name Metrics.incr;
           mark m_seconds inst.pass.name (fun h -> Metrics.observe h dt);
           (match store with
@@ -600,7 +595,6 @@ let run_chain ?store ?wire chain prog =
             t_pass = inst.pass.name;
             t_config = inst.config;
             t_cached = false;
-            t_seconds = dt;
             t_summary = summary;
           }
         end)

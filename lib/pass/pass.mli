@@ -152,7 +152,6 @@ type step = {
   t_pass : string;
   t_config : Ogc_json.Json.t;
   t_cached : bool;  (** served from the store; nothing executed *)
-  t_seconds : float;  (** wall time (0 when cached) *)
   t_summary : string;  (** one-line human summary *)
 }
 

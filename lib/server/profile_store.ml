@@ -63,10 +63,4 @@ let push t key delta =
 let find t key =
   locked t (fun () -> Option.map Profile.copy (Hashtbl.find_opt t.programs key))
 
-let epoch t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.programs key with
-      | Some p -> Profile.epoch p
-      | None -> 0)
-
 let stats t = locked t (fun () -> (Hashtbl.length t.programs, t.pushes))

@@ -20,8 +20,5 @@ val find : t -> string -> Ogc_pass.Profile.t option
 (** A deep copy of the accumulated profile (never the accumulator
     itself — pushes keep mutating that). *)
 
-val epoch : t -> string -> int
-(** Current epoch; 0 when no profile has been pushed. *)
-
 val stats : t -> int * int
 (** [(programs, pushes)] since {!create}. *)

@@ -4,6 +4,7 @@ module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
 module Log = Ogc_obs.Log
 module Flight = Ogc_obs.Flight
+module Clock = Ogc_obs.Clock
 module Net = Ogc_net.Net
 
 exception Deadline_exceeded
@@ -113,7 +114,7 @@ let create cfg =
     passes = Ogc_pass.Pass.Store.create ~capacity:cfg.cache_capacity ();
     profiles = Profile_store.create ~capacity:cfg.cache_capacity ();
     pending = Atomic.make 0;
-    started = Unix.gettimeofday ();
+    started = Clock.now ();
     m = Mutex.create ();
     served = Hashtbl.create 64;
     respec_inflight = Hashtbl.create 8;
@@ -166,7 +167,7 @@ let stats_json t =
     ((match t.cfg.shard_id with
      | Some id -> [ ("shard_id", J.Str id) ]
      | None -> [])
-    @ [ ("uptime_s", J.Float (Unix.gettimeofday () -. t.started));
+    @ [ ("uptime_s", J.Float (Clock.since t.started));
       ("requests", J.Int requests);
       ("analyses", J.Int analyses);
       ("errors", J.Int errors);
@@ -292,10 +293,10 @@ let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
       locked t (fun () -> Hashtbl.remove t.respec_inflight key)
     end
     else begin
-      let submitted = Unix.gettimeofday () in
+      let submitted = Clock.now () in
       ignore
         (Pool.submit t.pool (fun () ->
-             let t1 = Unix.gettimeofday () in
+             let t1 = Clock.now () in
              let outcome =
                try
                  let payload =
@@ -328,8 +329,8 @@ let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
                  f_hedged = false;
                  f_cache = "miss";
                  f_outcome = outcome;
-                 f_ms = (Unix.gettimeofday () -. t1) *. 1000.0;
-                 f_ts = t1 };
+                 f_ms = Clock.since t1 *. 1000.0;
+                 f_ts = Unix.gettimeofday () };
              if Metrics.enabled () then
                match List.assoc_opt "respec" m_requests with
                | Some c -> Metrics.incr c
@@ -358,7 +359,7 @@ let serve_stale t ~t0 ~fi ?id ~(req : Protocol.request) ~rkey ~wire ~epoch
       | None -> None
       | Some payload ->
         schedule_respec t ~req ~rkey ~wire ~epoch ~key ~base_key;
-        record_latency t ((Unix.gettimeofday () -. t0) *. 1000.0);
+        record_latency t (Clock.since t0 *. 1000.0);
         fi.fi_cache <- "stale";
         locked t (fun () -> t.stale_served <- t.stale_served + 1);
         Some
@@ -408,7 +409,7 @@ let handle_analyze t ~t0 ~fi (req : Protocol.request) =
   in
   match Span.with_ ~name:"cache_lookup" (fun () -> Cache.find t.cache key) with
   | Some payload ->
-    record_latency t ((Unix.gettimeofday () -. t0) *. 1000.0);
+    record_latency t (Clock.since t0 *. 1000.0);
     fi.fi_cache <- "hit";
     note_served ();
     envelope ?id ~status:"ok"
@@ -438,12 +439,13 @@ let handle_analyze t ~t0 ~fi (req : Protocol.request) =
         Option.map (fun ms -> t0 +. (float_of_int ms /. 1000.0))
           req.Protocol.deadline_ms
       in
-      let submitted = Unix.gettimeofday () in
+      let submitted = Clock.now () in
       let ticket =
         Pool.submit t.pool (fun () ->
-            fi.fi_queue_ms <- (Unix.gettimeofday () -. submitted) *. 1000.0;
+            let started = Clock.now () in
+            fi.fi_queue_ms <- (started -. submitted) *. 1000.0;
             (match deadline with
-            | Some d when Unix.gettimeofday () > d -> raise Deadline_exceeded
+            | Some d when started > d -> raise Deadline_exceeded
             | _ -> ());
             (* Runs on a worker domain: this span (and the build/
                simulate/energy spans below it) lands on that domain's
@@ -465,7 +467,7 @@ let handle_analyze t ~t0 ~fi (req : Protocol.request) =
       | Ok payload ->
         Cache.store t.cache key payload;
         note_served ();
-        record_latency t ((Unix.gettimeofday () -. t0) *. 1000.0);
+        record_latency t (Clock.since t0 *. 1000.0);
         locked t (fun () -> t.analyses <- t.analyses + 1);
         fi.fi_cache <- "miss";
         envelope ?id ~status:"ok"
@@ -483,7 +485,7 @@ let handle_analyze t ~t0 ~fi (req : Protocol.request) =
     end
 
 let handle_line t line =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   locked t (fun () -> t.requests <- t.requests + 1);
   let fi =
     { fi_id = None; fi_trace = None; fi_key = ""; fi_queue_ms = 0.0;
@@ -592,7 +594,7 @@ let handle_line t line =
           | None -> serve ()
           | Some _ -> Span.with_context ctx serve ))
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Clock.since t0 in
   Flight.record
     { Flight.f_id = fi.fi_id;
       f_trace = fi.fi_trace;
@@ -604,7 +606,7 @@ let handle_line t line =
       f_cache = fi.fi_cache;
       f_outcome = fi.fi_status;
       f_ms = dt *. 1000.0;
-      f_ts = t0 };
+      f_ts = Unix.gettimeofday () };
   if Metrics.enabled () then begin
     (match List.assoc_opt op_name m_requests with
     | Some c -> Metrics.incr c
@@ -654,5 +656,5 @@ let run t =
   Pool.shutdown t.pool;
   Log.info "ogc-serve: stopped"
     ~fields:
-      [ ("uptime_s", J.Float (Unix.gettimeofday () -. t.started));
+      [ ("uptime_s", J.Float (Clock.since t.started));
         ("requests", J.Int (locked t (fun () -> t.requests))) ]

@@ -319,9 +319,7 @@ let test_router_hedges_past_slow_shard () =
               Thread.join rth;
               if Sys.file_exists rpath then Sys.remove rpath)
             (fun () ->
-              let ring =
-                Ring.create ~vnodes:cfg.Router.vnodes [ "slow"; "live" ]
-              in
+              let ring = Ring.create [ "slow"; "live" ] in
               let src = src_with_primary ring "slow" in
               let t0 = Unix.gettimeofday () in
               let resp = request rpath (analyze_line src) in
@@ -365,7 +363,7 @@ let test_router_fails_over_dead_shard () =
           Thread.join rth;
           if Sys.file_exists rpath then Sys.remove rpath)
         (fun () ->
-          let ring = Ring.create ~vnodes:cfg.Router.vnodes [ "dead"; "live" ] in
+          let ring = Ring.create [ "dead"; "live" ] in
           let src = src_with_primary ring "dead" in
           let resp = request rpath (analyze_line src) in
           Alcotest.(check string) "failover answers ok" "ok"
@@ -421,13 +419,11 @@ let test_router_counts_failed_replica_puts () =
       Ogc_obs.Log.set_level Ogc_obs.Log.Error;
       Ogc_obs.Metrics.set_enabled metrics_were)
   @@ fun () ->
-  let vnodes = 64 in
   with_fleet ~n:2
-    ~router_cfg:(fun c ->
-      { c with Router.promote_after = 2; replicas = 2; vnodes })
+    ~router_cfg:(fun c -> { c with Router.promote_after = 2; replicas = 2 })
     (fun rpath _ shards ->
       let src = src_of 3 in
-      let ring = Ring.create ~vnodes (List.map (fun sp -> sp.sp_name) shards) in
+      let ring = Ring.create (List.map (fun sp -> sp.sp_name) shards) in
       let replica =
         match Ring.successors ring (route_key_of src) 2 with
         | [ _primary; replica ] -> replica
@@ -543,7 +539,7 @@ let test_hedged_request_one_connected_trace () =
       Thread.join rth;
       if Sys.file_exists rpath then Sys.remove rpath)
   @@ fun () ->
-  let ring = Ring.create ~vnodes:cfg.Router.vnodes [ "slow"; "live" ] in
+  let ring = Ring.create [ "slow"; "live" ] in
   let src = src_with_primary ring "slow" in
   let trace = "t-accept" in
   let line =

@@ -571,6 +571,80 @@ let test_analyze_identical_with_tracing () =
         off off2)
     [ Protocol.P_vrp; Protocol.P_vrs ]
 
+(* --- one clock reading per extent ---------------------------------------- *)
+
+module Pass = Ogc_pass.Pass
+module Vrp = Ogc_core.Vrp
+module Prog = Ogc_ir.Prog
+
+(* The sum of one histogram series, read off a scrape. *)
+let hist_sum name labels =
+  match
+    List.find_opt
+      (fun (n, l, _) -> n = name && l = labels)
+      (Metrics.snapshot ())
+  with
+  | Some (_, _, v) -> J.get_float "sum" v
+  | None -> Alcotest.failf "no series %s" name
+
+(* E.ts - B.ts, in µs, of the one span called [name] in [doc]. *)
+let span_us doc name =
+  let evs = match J.member "traceEvents" doc with J.Arr e -> e | _ -> [] in
+  let ts ph =
+    match
+      List.filter
+        (fun e -> J.member "name" e = J.Str name && J.member "ph" e = J.Str ph)
+        evs
+    with
+    | [ e ] -> J.get_float "ts" e
+    | l -> Alcotest.failf "%d %s events named %s" (List.length l) ph name
+  in
+  ts "E" -. ts "B"
+
+(* A pass of a chain and [Vrp.run] are each timed once: the span's
+   length is exactly the seconds the histogram observed for that run. *)
+let test_one_reading_per_extent () =
+  let example f =
+    In_channel.with_open_bin ("../examples/" ^ f) In_channel.input_all
+  in
+  let programs =
+    [ ("dotprod", Minic.compile (example "dotprod.mc"));
+      ("register_pressure", Minic.compile (example "register_pressure.mc"));
+      ("loop", Minic.compile src) ]
+  in
+  let passes = [ "cleanup"; "vrp"; "encode-widths" ] in
+  let pass_sum n = hist_sum "ogc_pass_seconds" [ ("pass", n) ] in
+  let vrp_sum () = hist_sum "ogc_vrp_pass_seconds" [] in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  Span.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Span.set_enabled false;
+      Span.reset ())
+  @@ fun () ->
+  List.iter
+    (fun (pname, p) ->
+      let agree what span seconds =
+        Alcotest.(check (float 0.01))
+          (Printf.sprintf "%s: %s span = observation" pname what)
+          (seconds *. 1e6) span
+      in
+      let before = List.map pass_sum passes in
+      Span.reset ();
+      ignore (Pass.run (String.concat "," passes) (Prog.copy p));
+      let doc = Span.export () in
+      List.iter2
+        (fun n b ->
+          let span = "pass:" ^ n in
+          agree span (span_us doc span) (pass_sum n -. b))
+        passes before;
+      let b = vrp_sum () in
+      Span.reset ();
+      ignore (Vrp.run (Prog.copy p));
+      agree "vrp" (span_us (Span.export ()) "vrp") (vrp_sum () -. b))
+    programs
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "obs"
@@ -588,6 +662,8 @@ let () =
           Alcotest.test_case "drop accounting" `Quick
             test_span_drop_accounting;
           Alcotest.test_case "compile layers" `Quick test_compile_layer_spans;
+          Alcotest.test_case "one reading per extent" `Quick
+            test_one_reading_per_extent;
           q prop_merged_fleet_well_formed ] );
       ( "flight",
         [ Alcotest.test_case "ring bounds and ordering" `Quick

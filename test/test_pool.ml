@@ -25,7 +25,10 @@ let test_order_matches_sequential () =
 let test_empty_and_singleton () =
   Alcotest.(check (list int)) "empty" [] (Pool.map ~jobs:4 (fun x -> x) []);
   Alcotest.(check (list int)) "singleton" [ 42 ]
-    (Pool.map ~jobs:4 (fun x -> x * 2) [ 21 ])
+    (Pool.map ~jobs:4 (fun x -> x * 2) [ 21 ]);
+  (* More workers than tasks must not deadlock or duplicate. *)
+  Alcotest.(check (list int)) "3 tasks, 8 jobs" [ 1; 2; 3 ]
+    (Pool.map ~jobs:8 (fun x -> x) [ 1; 2; 3 ])
 
 let test_exception_propagation () =
   (* Both index 3 and index 7 fail; the lowest index must win so the
@@ -76,21 +79,6 @@ let test_jobs_env_fallback () =
   Alcotest.(check int) "explicit 0 means auto" 3 (Pool.resolve_jobs (Some 0));
   Unix.putenv "OGC_JOBS" ""
 
-let test_map_timed () =
-  let xs = List.init 12 Fun.id in
-  let values, stats = Pool.map_timed ~jobs:4 heavy xs in
-  Alcotest.(check bool) "values match" true (values = List.map heavy xs);
-  Alcotest.(check int) "one timing per task" (List.length xs)
-    (Array.length stats.Pool.task_s);
-  Alcotest.(check bool) "timings non-negative" true
-    (Array.for_all (fun t -> t >= 0.0) stats.Pool.task_s);
-  Alcotest.(check bool) "wall clock sane" true (stats.Pool.wall_s >= 0.0);
-  Alcotest.(check bool) "jobs clamped to tasks" true (stats.Pool.jobs <= 12);
-  (* More workers than tasks must not deadlock or duplicate. *)
-  let v2, s2 = Pool.map_timed ~jobs:8 (fun x -> x) [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "3 tasks, 8 jobs" [ 1; 2; 3 ] v2;
-  Alcotest.(check bool) "jobs <= 3" true (s2.Pool.jobs <= 3)
-
 let () =
   Alcotest.run "pool"
     [
@@ -104,6 +92,5 @@ let () =
           Alcotest.test_case "queue drains past a failure" `Quick
             test_all_tasks_finish_despite_failure;
           Alcotest.test_case "OGC_JOBS fallback" `Quick test_jobs_env_fallback;
-          Alcotest.test_case "map_timed" `Quick test_map_timed;
         ] );
     ]

@@ -42,13 +42,14 @@ let sock_path =
     incr n;
     Printf.sprintf "/tmp/ogc-test-%d-%d.sock" (Unix.getpid ()) !n
 
-let with_server ?(queue_limit = 64) ?cache_dir f =
+let with_server ?(queue_limit = 64) ?cache_dir ?inject_slow_ms f =
   let path = sock_path () in
   let cfg =
     { (Server.default_config (Net.Unix_sock path)) with
       jobs = Some 1;
       queue_limit;
-      cache_dir }
+      cache_dir;
+      inject_slow_ms }
   in
   let t = Server.create cfg in
   let th = Thread.create Server.run t in
@@ -227,6 +228,26 @@ let test_malformed_requests () =
       (* id is echoed even on errors *)
       let r = request path {|{"id":"req-7","pass":"bogus","source":"x"}|} in
       Alcotest.(check string) "id echoed" "req-7" (field r "id"))
+
+(* --- flight records --------------------------------------------------------- *)
+
+(* A flight record's [f_ts] is the wall time the request completed: an
+   analyze slowed by 50 ms lands at least that long after a reading
+   taken before the call. *)
+let test_flight_ts_at_completion () =
+  with_server ~inject_slow_ms:50.0 (fun _ t ->
+      let before = Unix.gettimeofday () in
+      let resp = Server.handle_line t (analyze_req ()) in
+      Alcotest.(check string) "status" "ok" (field resp "status");
+      match List.rev (Ogc_obs.Flight.snapshot ()) with
+      | r :: _ ->
+        Alcotest.(check string) "the analyze's record" "analyze"
+          r.Ogc_obs.Flight.f_op;
+        let after_s = r.Ogc_obs.Flight.f_ts -. before in
+        if after_s < 0.05 then
+          Alcotest.failf "f_ts is %.4f s after the call began, want >= 0.05"
+            after_s
+      | [] -> Alcotest.fail "no flight record")
 
 (* --- protocol handshake ----------------------------------------------------- *)
 
@@ -671,6 +692,9 @@ let () =
            test_bounded_queue_rejection;
          Alcotest.test_case "malformed requests" `Quick
            test_malformed_requests ]);
+      ("flight",
+       [ Alcotest.test_case "record stamped at completion" `Quick
+           test_flight_ts_at_completion ]);
       ("protocol",
        [ Alcotest.test_case "version handshake" `Quick test_protocol_version;
          Alcotest.test_case "shard cache namespacing" `Quick
