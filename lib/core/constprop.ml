@@ -114,47 +114,65 @@ let is_restore_load (ins : Prog.ins) =
     && List.exists (Reg.equal dst) Reg.callee_saved
   | _ -> false
 
-let dce (f : Prog.func) stats =
-  let changed = ref true in
-  let guard = ref 0 in
-  while !changed && !guard < 10 do
-    changed := false;
-    incr guard;
-    let cfg = Cfg.of_func f in
-    let ud = Usedef.compute f cfg in
-    Array.iter
-      (fun (b : Prog.block) ->
-        let keep =
-          Array.to_list b.body
-          |> List.filter (fun (ins : Prog.ins) ->
-                 let dead =
-                   is_pure ins.op
-                   && (not (is_restore_load ins))
-                   && (not
-                         (List.exists
-                            (fun r ->
-                              Reg.equal r Reg.sp || Reg.equal r Reg.ret)
-                            (Instr.defs ins.op)))
-                   && List.for_all
-                        (fun di -> Usedef.uses_of_def ud di = [])
-                        (Usedef.defs_of_ins ud ins.iid)
-                   && Usedef.defs_of_ins ud ins.iid <> []
-                 in
-                 if dead then begin
-                   stats :=
-                     {
-                       !stats with
-                       removed = !stats.removed + 1;
-                       removed_iids = ins.iid :: !stats.removed_iids;
-                     };
-                   changed := true
-                 end;
-                 not dead)
-        in
-        if List.length keep <> Array.length b.body then
-          b.body <- Array.of_list keep)
-      f.blocks
-  done
+(* The chains are built once per function.  Removing a def that reaches
+   no use never changes which defs reach a remaining use (a path through
+   it to a use of its register would have made it reach that use), so a
+   round's chains are the first round's minus the use sites of the
+   instructions already removed.  [live.(d)] counts the use sites of def
+   [d] still present; a round decides on the counts frozen at its start
+   and only then retires its victims' uses, so it removes exactly what
+   rebuilding the chains for it would have. *)
+let dce (f : Prog.func) =
+  let ud = Usedef.compute f (Cfg.of_func f) in
+  let live =
+    Array.init (Usedef.num_defs ud) (fun di ->
+        List.length (Usedef.uses_of_def ud di))
+  in
+  let dead (ins : Prog.ins) =
+    is_pure ins.op
+    && (not (is_restore_load ins))
+    && (not
+          (List.exists
+             (fun r -> Reg.equal r Reg.sp || Reg.equal r Reg.ret)
+             (Instr.defs ins.op)))
+    &&
+    match Usedef.defs_of_ins ud ins.iid with
+    | [] -> false
+    | ds -> List.for_all (fun di -> live.(di) = 0) ds
+  in
+  let retire (ins : Prog.ins) =
+    List.iter
+      (fun r ->
+        List.iter
+          (fun di -> live.(di) <- live.(di) - 1)
+          (Usedef.reaching_uses ud ~use_iid:ins.iid ~reg:r))
+      (Instr.uses ins.op)
+  in
+  let rec round n removed =
+    if n = 10 then removed
+    else begin
+      let victims = ref [] in
+      Array.iter
+        (fun (b : Prog.block) ->
+          let keep =
+            List.filter
+              (fun ins ->
+                let d = dead ins in
+                if d then victims := ins :: !victims;
+                not d)
+              (Array.to_list b.body)
+          in
+          if List.length keep <> Array.length b.body then
+            b.body <- Array.of_list keep)
+        f.blocks;
+      match !victims with
+      | [] -> removed
+      | vs ->
+        List.iter retire vs;
+        round (n + 1) (List.map (fun (ins : Prog.ins) -> ins.iid) vs @ removed)
+    end
+  in
+  round 0 []
 
 let run res (p : Prog.t) =
   let stats =
@@ -171,6 +189,12 @@ let run res (p : Prog.t) =
     (fun f ->
       fold_instructions res f stats;
       fold_branches res f stats;
-      dce f stats)
+      let removed = dce f in
+      stats :=
+        {
+          !stats with
+          removed = !stats.removed + List.length removed;
+          removed_iids = removed @ !stats.removed_iids;
+        })
     p.funcs;
   !stats

@@ -21,3 +21,11 @@ type stats = {
 val run : Vrp.result -> Prog.t -> stats
 (** Transforms [prog] in place.  The result still passes
     {!Ogc_ir.Validate.program} and computes the same checksum. *)
+
+val dce : Prog.func -> int list
+(** [dce f] deletes [f]'s dead pure instructions in place, round by
+    round, until a round removes nothing or 10 rounds have run, and
+    returns their ids, the last removed first.  An instruction is dead
+    when no definition it makes reaches a use; stack-pointer and
+    return-value defs and callee-saved restores are never removed.
+    {!run} applies it to every function after folding. *)

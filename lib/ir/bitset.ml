@@ -27,22 +27,30 @@ let reset t = Array.fill t.words 0 (Array.length t.words) 0
 let copy_into ~into src =
   Array.blit src.words 0 into.words 0 (Array.length src.words)
 
+(* Plain loops: the dataflow fixpoints call these per edge per sweep, and
+   a closure per call (or a polymorphic compare) costs more than the
+   words it touches. *)
 let union_into ~into src =
   let changed = ref false in
-  Array.iteri
-    (fun k w ->
-      let nw = into.words.(k) lor w in
-      if nw <> into.words.(k) then begin
-        into.words.(k) <- nw;
-        changed := true
-      end)
-    src.words;
+  for k = 0 to Array.length src.words - 1 do
+    let nw = into.words.(k) lor src.words.(k) in
+    if nw <> into.words.(k) then begin
+      into.words.(k) <- nw;
+      changed := true
+    end
+  done;
   !changed
 
 let diff_into ~into src =
-  Array.iteri (fun k w -> into.words.(k) <- into.words.(k) land lnot w) src.words
+  for k = 0 to Array.length src.words - 1 do
+    into.words.(k) <- into.words.(k) land lnot src.words.(k)
+  done
 
-let equal a b = a.nbits = b.nbits && a.words = b.words
+let equal a b =
+  a.nbits = b.nbits
+  &&
+  let rec from k = k < 0 || (a.words.(k) = b.words.(k) && from (k - 1)) in
+  from (Array.length a.words - 1)
 
 let iter t k =
   (* Word-skipping ascending walk: whole-zero words cost one test, and
@@ -58,6 +66,17 @@ let iter t k =
         w := !w land lnot bit
       done)
     t.words
+
+let iter_inter a b k =
+  for wi = 0 to Array.length a.words - 1 do
+    let w = ref (a.words.(wi) land b.words.(wi)) in
+    while !w <> 0 do
+      let bit = !w land - !w in
+      let rec log2 b acc = if b = 1 then acc else log2 (b lsr 1) (acc + 1) in
+      k ((wi lsl 5) + log2 bit 0);
+      w := !w land lnot bit
+    done
+  done
 
 let elements t =
   let acc = ref [] in

@@ -27,5 +27,9 @@ val diff_into : into:t -> t -> unit
 
 val equal : t -> t -> bool
 val iter : t -> (int -> unit) -> unit
+
+(** [iter_inter a b k] calls [k] on every element of both [a] and [b],
+    ascending, without building the intersection. *)
+val iter_inter : t -> t -> (int -> unit) -> unit
 val elements : t -> int list
 val cardinal : t -> int

@@ -23,6 +23,8 @@ type def = { dreg : Reg.t; site : def_site }
 type t
 
 val compute : Prog.func -> Cfg.t -> t
+(** The chains of one function, in tables sized by its own instruction,
+    use and def counts.  Each call counts one [ogc_usedef_runs_total]. *)
 
 val num_defs : t -> int
 val def : t -> int -> def

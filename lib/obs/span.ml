@@ -74,14 +74,18 @@ type ev = {
 
 let dummy = { ph = ' '; ename = ""; ts = 0.0; eid = 0; eargs = [] }
 let capacity = 1 lsl 15
+let initial = 64
 let m_dropped = Metrics.counter "ogc_span_dropped_total"
 
 (* One ring per thread: [Thread.id] is unique across all domains, so a
    ring has a single writer and appends contend only with an export
-   snapshotting that same ring. *)
+   snapshotting that same ring.  A ring starts at [initial] slots and
+   doubles while it is full and below [capacity], so the many
+   short-lived connection threads of a traced server cost a few slots
+   each, not [capacity]; it only wraps once it has reached [capacity]. *)
 type ring = {
   rm : Mutex.t;
-  buf : ev array;
+  mutable buf : ev array;
   mutable total : int; (* events ever written; index = total mod capacity *)
   rtid : int;
   rdid : int; (* domain at ring creation, for the track name *)
@@ -99,7 +103,7 @@ let ring_for_current () =
     | None ->
       let r =
         { rm = Mutex.create ();
-          buf = Array.make capacity dummy;
+          buf = Array.make initial dummy;
           total = 0;
           rtid = tid;
           rdid = (Domain.self () :> int) }
@@ -114,7 +118,12 @@ let ring_for_current () =
 let emit_at r t ph ename eid eargs =
   let ts = (t -. Atomic.get epoch) *. 1e6 in
   Mutex.lock r.rm;
-  if r.total >= capacity then Metrics.incr m_dropped;
+  if r.total >= capacity then Metrics.incr m_dropped
+  else if r.total = Array.length r.buf then begin
+    let grown = Array.make (min capacity (2 * r.total)) dummy in
+    Array.blit r.buf 0 grown 0 r.total;
+    r.buf <- grown
+  end;
   r.buf.(r.total mod capacity) <- { ph; ename; ts; eid; eargs };
   r.total <- r.total + 1;
   Mutex.unlock r.rm

@@ -287,6 +287,11 @@ let build ?store ?wire req =
     (base, st.Pass.prog)
   | P_vrs ->
     let p = load req Workload.Train in
+    (* One compile serves both sides: the copy keeps every instruction id
+       and owns its globals, so rescaling it leaves the training run's
+       input alone. *)
+    let base = Prog.copy p in
+    set_scale_if base req.input;
     (* With a streamed profile the training runs are replaced by the
        client's observations, and the chain grows a zero-specialization
        tail — always-zero observations are exactly what [zspec] wants.
@@ -305,7 +310,7 @@ let build ?store ?wire req =
     let st, _ = Pass.run ?store ?wire chain p in
     let p = st.Pass.prog in
     set_scale_if p req.input;
-    (load req req.input, p)
+    (base, p)
 
 let static_widths p =
   let h = Hashtbl.create 8 in

@@ -338,6 +338,39 @@ let test_span_drop_accounting () =
             = float_of_int dropped)
        (String.split_on_char '\n' expo))
 
+(* Every thread gets a ring, and a traced server serves each connection
+   on a fresh thread: 100 one-span threads must not cost 100 full rings
+   (each 32768 slots, ~3.3M major words in all), and every event must
+   still be exported. *)
+let test_span_ring_growth () =
+  Span.reset ();
+  Span.set_enabled true;
+  Fun.protect ~finally:(fun () -> Span.set_enabled false; Span.reset ())
+  @@ fun () ->
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to 100 do
+    Thread.join
+      (Thread.create (fun () -> Span.with_ ~name:"conn" (fun () -> ())) ())
+  done;
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "under 1M major words (%.0f)" words)
+    true (words < 1e6);
+  let events =
+    match J.member "traceEvents" (Span.export ()) with
+    | J.Arr evs -> evs
+    | _ -> Alcotest.fail "traceEvents is not an array"
+  in
+  let count ph =
+    List.length
+      (List.filter
+         (fun e -> J.member "name" e = J.Str "conn" && J.member "ph" e = J.Str ph)
+         events)
+  in
+  Alcotest.(check int) "every begin exported" 100 (count "B");
+  Alcotest.(check int) "every end exported" 100 (count "E");
+  Alcotest.(check int) "nothing dropped" 0 (Span.dropped_events ())
+
 (* --- merged fleet traces are well-formed ------------------------------------ *)
 
 (* Build per-process export documents with the real recorder (reset
@@ -661,6 +694,8 @@ let () =
             test_span_ids_and_context;
           Alcotest.test_case "drop accounting" `Quick
             test_span_drop_accounting;
+          Alcotest.test_case "rings grow on demand" `Quick
+            test_span_ring_growth;
           Alcotest.test_case "compile layers" `Quick test_compile_layer_spans;
           Alcotest.test_case "one reading per extent" `Quick
             test_one_reading_per_extent;

@@ -278,6 +278,47 @@ let test_protocol_version () =
 
 (* --- shard namespacing ------------------------------------------------------ *)
 
+(* A VRS analysis compiles its source once: the baseline is a rescaled
+   copy of the training compile.  [src] reads its [input_scale] global,
+   so at ["input":"ref"] the answer must still be the ref-scaled run. *)
+let test_vrs_compiles_once () =
+  let module Span = Ogc_obs.Span in
+  let req =
+    match
+      Ogc_server.Protocol.op_of_json
+        (J.Obj
+           [ ("source", J.Str src); ("pass", J.Str "vrs");
+             ("input", J.Str "ref") ])
+    with
+    | Ogc_server.Protocol.Analyze r -> r
+    | _ -> Alcotest.fail "not an analyze op"
+  in
+  Span.reset ();
+  Span.set_enabled true;
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Span.set_enabled false)
+      (fun () -> Ogc_server.Protocol.analyze req)
+  in
+  let lowers =
+    match J.member "traceEvents" (Span.export ()) with
+    | J.Arr evs ->
+      List.length
+        (List.filter
+           (fun e ->
+             J.member "name" e = J.Str "minic:lower"
+             && J.member "ph" e = J.Str "B")
+           evs)
+    | _ -> Alcotest.fail "no traceEvents"
+  in
+  Span.reset ();
+  Alcotest.(check int) "one minic:lower span" 1 lowers;
+  let p = Ogc_minic.Minic.compile src in
+  Workload.set_scale p Workload.Ref;
+  Alcotest.(check string) "ref-scaled checksum"
+    (Int64.to_string (Ogc_ir.Interp.run p).Ogc_ir.Interp.checksum)
+    (J.get_string "checksum" result)
+
 let test_shard_cache_namespacing () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -698,7 +739,9 @@ let () =
       ("protocol",
        [ Alcotest.test_case "version handshake" `Quick test_protocol_version;
          Alcotest.test_case "shard cache namespacing" `Quick
-           test_shard_cache_namespacing ]);
+           test_shard_cache_namespacing;
+         Alcotest.test_case "vrs compiles once" `Quick
+           test_vrs_compiles_once ]);
       ("profile",
        [ Alcotest.test_case "push round-trip" `Quick test_profile_roundtrip;
          Alcotest.test_case "concurrent pushes keep epochs monotonic" `Quick
