@@ -1101,12 +1101,8 @@ module Fn_cache = struct
       runs = 0;
     }
 
-  let locked t f =
-    Mutex.lock t.m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
   let find t key =
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         match Hashtbl.find_opt t.entries key with
         | Some fr ->
           t.hits <- t.hits + 1;
@@ -1118,7 +1114,7 @@ module Fn_cache = struct
           None)
 
   let install t key fr =
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         if not (Hashtbl.mem t.entries key) then begin
           while Hashtbl.length t.entries >= t.capacity do
             match Queue.take_opt t.order with
@@ -1130,7 +1126,7 @@ module Fn_cache = struct
         end)
 
   (* (hits, runs): fragment replays vs. live final passes since create. *)
-  let stats t = locked t (fun () -> (t.hits, t.runs))
+  let stats t = Mutex.protect t.m (fun () -> (t.hits, t.runs))
 end
 
 (* Digest of everything the function's recorded pass can observe.  The

@@ -51,17 +51,11 @@ type 'a outcome = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
 
 type 'a ticket = { pool : t; mutable outcome : 'a outcome }
 
-(* Run one task, recording its run time; never raises. *)
+(* Run one task; never raises. *)
 let run_task f =
-  let t0 = Clock.now () in
-  let o =
-    match f () with
-    | v -> Done v
-    | exception e -> Failed (e, Printexc.get_raw_backtrace ())
-  in
-  Metrics.observe m_job_run (Clock.since t0);
-  Metrics.incr m_jobs_total;
-  o
+  match f () with
+  | v -> Done v
+  | exception e -> Failed (e, Printexc.get_raw_backtrace ())
 
 let worker p () =
   let continue = ref true in
@@ -127,7 +121,10 @@ let submit p f =
     Metrics.gauge_add m_queue_depth (-1);
     Metrics.gauge_add m_busy 1;
     Option.iter (fun t -> Metrics.observe m_job_wait (Clock.since t)) enqueued;
+    let t0 = Clock.now () in
     let o = run_task f in
+    Metrics.observe m_job_run (Clock.since t0);
+    Metrics.incr m_jobs_total;
     Metrics.gauge_add m_busy (-1);
     Mutex.lock p.m;
     tk.outcome <- o;
@@ -193,7 +190,8 @@ let map ?jobs f xs =
   let jobs = clamp_jobs (min (resolve_jobs jobs) (max 1 n)) in
   let outcomes =
     if jobs = 1 then
-      (* Sequential fallback: no domain is ever spawned. *)
+      (* Sequential fallback: no domain is ever spawned, and no pool
+         job is counted. *)
       List.map (fun x -> run_task (fun () -> f x)) xs
     else begin
       let p = create ~jobs () in

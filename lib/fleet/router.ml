@@ -1,11 +1,10 @@
 module J = Ogc_json.Json
-module Server = Ogc_server.Server
+module Front = Ogc_server.Front
 module Protocol = Ogc_server.Protocol
 module Version = Ogc_server.Version
 module Metrics = Ogc_obs.Metrics
 module Log = Ogc_obs.Log
 module Span = Ogc_obs.Span
-module Flight = Ogc_obs.Flight
 module Clock = Ogc_obs.Clock
 module Net = Ogc_net.Net
 
@@ -133,7 +132,6 @@ type shard = {
   m_seconds : Metrics.histogram;
 }
 
-let lat_window = 1024
 let down_cooldown = 1.0 (* seconds a failed shard is deprioritized *)
 
 type t = {
@@ -141,26 +139,19 @@ type t = {
   ring : Ring.t;
   shard_tbl : (string * shard) list;  (* ring name -> shard *)
   listener : Net.listener;
+  front : Front.t;
   started : float;
   m : Mutex.t;  (* guards the mutable fields below *)
-  mutable requests : int;
   mutable routed : int;
   mutable hedged : int;
   mutable hedge_wins : int;
   mutable failovers : int;
-  mutable errors : int;
   mutable unavailable : int;
   mutable promotions : int;
-  hits : (string, int) Hashtbl.t;  (* result key -> request count *)
-  promoted : (string, unit) Hashtbl.t;
-  latencies : float array;  (* ring of recent request latencies, ms *)
-  mutable lat_n : int;
+  hits : (string, int * bool) Hashtbl.t;
+      (* result key -> (request count, promoted) *)
   mutable hedge_threshold : float;  (* seconds *)
 }
-
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 let shard_of t name = List.assoc name t.shard_tbl
 
@@ -204,44 +195,32 @@ let create cfg =
     ring;
     shard_tbl;
     listener = Net.listen ~name:"ogc-router" cfg.addr;
+    front = Front.create ~name:"router";
     started = Clock.now ();
     m = Mutex.create ();
-    requests = 0;
     routed = 0;
     hedged = 0;
     hedge_wins = 0;
     failovers = 0;
-    errors = 0;
     unavailable = 0;
     promotions = 0;
     hits = Hashtbl.create 256;
-    promoted = Hashtbl.create 64;
-    latencies = Array.make lat_window 0.0;
-    lat_n = 0;
     hedge_threshold = 0.025 }
 
 (* --- adaptive hedge threshold ---------------------------------------------- *)
 
-let percentile = Metrics.percentile_sorted
-
-(* Hedge at ~2x a recent p95: rare stragglers trigger a second copy,
-   the common case never pays for one.  Clamped so a pathological
-   window can neither hedge every request nor disable hedging. *)
+(* Hedge at ~2x a recent p95 of the front's latency window: rare
+   stragglers trigger a second copy, the common case never pays for
+   one.  Clamped so a pathological window can neither hedge every
+   request nor disable hedging. *)
 let recompute_threshold t =
-  match t.cfg.hedge_ms with
-  | Some ms -> t.hedge_threshold <- ms /. 1000.0
-  | None ->
-    let lats = Array.sub t.latencies 0 (min t.lat_n lat_window) in
-    Array.sort compare lats;
-    let p95_s = percentile lats 0.95 /. 1000.0 in
-    let budget = float_of_int t.cfg.request_timeout_ms /. 1000.0 in
-    t.hedge_threshold <- Float.min (budget /. 4.0) (Float.max 0.002 (2.0 *. p95_s))
-
-let record_latency t ms =
-  locked t (fun () ->
-      t.latencies.(t.lat_n mod lat_window) <- ms;
-      t.lat_n <- t.lat_n + 1;
-      if t.lat_n mod 64 = 0 then recompute_threshold t)
+  t.hedge_threshold <-
+    (match t.cfg.hedge_ms with
+    | Some ms -> ms /. 1000.0
+    | None ->
+      let p95_s = Front.percentile_ms t.front 0.95 /. 1000.0 in
+      let budget = float_of_int t.cfg.request_timeout_ms /. 1000.0 in
+      Float.min (budget /. 4.0) (Float.max 0.002 (2.0 *. p95_s)))
 
 (* --- candidate selection --------------------------------------------------- *)
 
@@ -274,13 +253,6 @@ let candidates t rkey ~hits ~promoted =
   up @ down
 
 (* --- request forwarding ---------------------------------------------------- *)
-
-let envelope ?id ~status extra =
-  J.to_string ~indent:false
-    (J.Obj
-       (("version", J.Str Version.version)
-        :: (match id with Some s -> [ ("id", J.Str s) ] | None -> [])
-        @ (("status", J.Str status) :: extra)))
 
 (* Outcome cell shared between the request thread and its attempts.
    First response wins; [launched]/[errored] let the request thread
@@ -316,15 +288,11 @@ let with_trace_members j ~trace ~parent =
    cross-process arrow — the shard computes the same flow id from the
    wire members alone. *)
 let launch_attempt cell idx sh ~traced line why =
-  Mutex.lock cell.cm;
-  cell.launched <- cell.launched + 1;
-  Mutex.unlock cell.cm;
+  Mutex.protect cell.cm (fun () -> cell.launched <- cell.launched + 1);
   let roundtrip line =
     let record_error () =
       sh.down_until <- Clock.now () +. down_cooldown;
-      Mutex.lock cell.cm;
-      cell.errored <- cell.errored + 1;
-      Mutex.unlock cell.cm
+      Mutex.protect cell.cm (fun () -> cell.errored <- cell.errored + 1)
     in
     match Conns.acquire sh.s_conns with
     | exception _ -> record_error ()
@@ -336,9 +304,8 @@ let launch_attempt cell idx sh ~traced line why =
         Conns.release sh.s_conns c;
         Metrics.observe sh.m_seconds (Clock.since t0);
         sh.down_until <- 0.0;
-        Mutex.lock cell.cm;
-        if cell.response = None then cell.response <- Some (idx, resp);
-        Mutex.unlock cell.cm
+        Mutex.protect cell.cm (fun () ->
+            if cell.response = None then cell.response <- Some (idx, resp))
       | exception _ ->
         Conns.destroy sh.s_conns c;
         record_error ())
@@ -366,18 +333,18 @@ let launch_attempt cell idx sh ~traced line why =
   in
   ignore (Thread.create body ())
 
-(* Forward [line] along [cands], hedging once past a straggler and
-   failing over past errors, until a response, exhaustion, or the
-   request budget runs out.  Returns the response line and whether a
-   hedge was launched (for the flight record). *)
-let forward t ~t0 ~id ~hedge ?traced line cands =
+(* Forward the request line along [cands], hedging once past a
+   straggler and failing over past errors, until a response,
+   exhaustion, or the request budget runs out.  A launched hedge is
+   marked in the request's flight facts. *)
+let forward t (r : Front.request) ~hedge ?traced cands =
+  let t0 = r.Front.arrived and line = r.Front.line in
   let cell =
     { cm = Mutex.create (); response = None; launched = 0; errored = 0 }
   in
   let deadline = t0 +. (float_of_int t.cfg.request_timeout_ms /. 1000.0) in
   let remaining = ref cands in
   let attempt_no = ref 0 in
-  let did_hedge = ref false in
   let launch why =
     match !remaining with
     | [] -> false
@@ -392,11 +359,11 @@ let forward t ~t0 ~id ~hedge ?traced line cands =
       (match why with
       | `Primary -> ()
       | `Hedge ->
-        did_hedge := true;
-        locked t (fun () -> t.hedged <- t.hedged + 1);
+        r.Front.facts.hedged <- true;
+        Mutex.protect t.m (fun () -> t.hedged <- t.hedged + 1);
         if Metrics.enabled () then Metrics.incr sh.m_hedges
       | `Failover ->
-        locked t (fun () -> t.failovers <- t.failovers + 1);
+        Mutex.protect t.m (fun () -> t.failovers <- t.failovers + 1);
         if Metrics.enabled () then Metrics.incr sh.m_failovers);
       launch_attempt cell !attempt_no sh ~traced line why_name;
       incr attempt_no;
@@ -405,22 +372,20 @@ let forward t ~t0 ~id ~hedge ?traced line cands =
   ignore (launch `Primary);
   let hedge_at = ref (t0 +. t.hedge_threshold) in
   let give_up () =
-    locked t (fun () ->
-        t.unavailable <- t.unavailable + 1;
-        t.errors <- t.errors + 1);
-    envelope ?id ~status:"unavailable"
+    Mutex.protect t.m (fun () -> t.unavailable <- t.unavailable + 1);
+    Front.count_error t.front;
+    Front.envelope ?id:r.Front.id ~status:"unavailable"
       [ ("error", J.Str "no shard answered within the request budget") ]
   in
   let rec wait () =
     let response, launched, errored =
-      Mutex.lock cell.cm;
-      let r = (cell.response, cell.launched, cell.errored) in
-      Mutex.unlock cell.cm;
-      r
+      Mutex.protect cell.cm (fun () ->
+          (cell.response, cell.launched, cell.errored))
     in
     match response with
     | Some (idx, resp) ->
-      if idx > 0 then locked t (fun () -> t.hedge_wins <- t.hedge_wins + 1);
+      if idx > 0 then
+        Mutex.protect t.m (fun () -> t.hedge_wins <- t.hedge_wins + 1);
       resp
     | None ->
       let now = Clock.now () in
@@ -445,19 +410,23 @@ let forward t ~t0 ~id ~hedge ?traced line cands =
         wait ()
       end
   in
-  let resp = wait () in
-  (resp, !did_hedge)
+  wait ()
 
 (* --- hot-key promotion ----------------------------------------------------- *)
 
 let hits_cap = 8192
 
+(* The key's request count, this request included, and whether it is
+   promoted.  The table is reset at [hits_cap] keys, promoted flags
+   included, so a key that stays hot is promoted again. *)
 let bump_hits t key =
-  locked t (fun () ->
+  Mutex.protect t.m (fun () ->
       if Hashtbl.length t.hits >= hits_cap then Hashtbl.reset t.hits;
-      let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.hits key) in
-      Hashtbl.replace t.hits key n;
-      (n, Hashtbl.mem t.promoted key))
+      let n, promoted =
+        Option.value ~default:(0, false) (Hashtbl.find_opt t.hits key)
+      in
+      Hashtbl.replace t.hits key (n + 1, promoted);
+      (n + 1, promoted))
 
 (* Push a hot result to the replica shards, off the request path.  A
    failed put is counted and logged, not retried: replication is a
@@ -498,22 +467,27 @@ let replicate t ckey rkey result =
           failed sh (Printexc.to_string e)))
     targets
 
-let maybe_promote t ckey rkey ~hits resp =
-  if
-    t.cfg.replicas > 1 && hits >= t.cfg.promote_after
-    && not (locked t (fun () -> Hashtbl.mem t.promoted ckey))
-  then begin
+(* The first ok answer at [promote_after] hits promotes the key, once
+   per entry in [hits]. *)
+let maybe_promote t ckey rkey ~hits ~promoted resp =
+  if t.cfg.replicas > 1 && hits >= t.cfg.promote_after && not promoted then
     match J.of_string resp with
     | exception J.Parse_error _ -> ()
     | j -> (
       match (J.member "status" j, J.member "result" j) with
       | J.Str "ok", (J.Obj _ as result) ->
-        locked t (fun () ->
-            Hashtbl.replace t.promoted ckey ();
-            t.promotions <- t.promotions + 1);
-        ignore (Thread.create (fun () -> replicate t ckey rkey result) ())
+        let claimed =
+          Mutex.protect t.m (fun () ->
+              match Hashtbl.find_opt t.hits ckey with
+              | Some (n, false) ->
+                Hashtbl.replace t.hits ckey (n, true);
+                t.promotions <- t.promotions + 1;
+                true
+              | _ -> false)
+        in
+        if claimed then
+          ignore (Thread.create (fun () -> replicate t ckey rkey result) ())
       | _ -> ())
-  end
 
 (* --- fleet trace assembly --------------------------------------------------- *)
 
@@ -574,204 +548,107 @@ let mint_trace =
             (Atomic.fetch_and_add counter 1)
             entropy))
 
-(* The response status without a full JSON parse: the envelope always
-   renders ["status"] early, and the flight record must not make the
-   router reparse every forwarded response. *)
-let status_of_line line =
-  let marker = "\"status\":\"" in
-  let mlen = String.length marker in
-  let llen = String.length line in
-  let rec find i =
-    if i + mlen > llen then None
-    else if String.sub line i mlen = marker then Some (i + mlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> "unknown"
-  | Some start -> (
-    match String.index_from_opt line start '"' with
-    | Some stop -> String.sub line start (stop - start)
-    | None -> "unknown")
-
 let stats_json t =
-  let counters, lats, threshold =
-    locked t (fun () ->
-        ( ( t.requests,
-            t.routed,
-            t.hedged,
-            t.hedge_wins,
-            t.failovers,
-            t.errors,
-            t.unavailable,
-            t.promotions,
-            t.lat_n ),
-          Array.sub t.latencies 0 (min t.lat_n lat_window),
-          t.hedge_threshold ))
-  in
-  let requests, routed, hedged, hedge_wins, failovers, errors, unavailable,
-      promotions, lat_n =
-    counters
-  in
-  Array.sort compare lats;
+  let requests = Front.requests t.front and errors = Front.errors t.front in
+  let latency = Front.latency_json t.front in
   let now = Clock.now () in
-  J.Obj
-    [ ("role", J.Str "router");
-      ("uptime_s", J.Float (now -. t.started));
-      ("requests", J.Int requests);
-      ("routed", J.Int routed);
-      ("hedged", J.Int hedged);
-      ("hedge_wins", J.Int hedge_wins);
-      ("failovers", J.Int failovers);
-      ("errors", J.Int errors);
-      ("unavailable", J.Int unavailable);
-      ("promotions", J.Int promotions);
-      ("hedge_threshold_ms", J.Float (threshold *. 1000.0));
-      ("latency_ms",
-       J.Obj
-         [ ("count", J.Int lat_n);
-           ("p50", J.Float (percentile lats 0.50));
-           ("p95", J.Float (percentile lats 0.95)) ]);
-      ("shards",
-       J.Arr
-         (List.map
-            (fun (_, sh) ->
-              J.Obj
-                [ ("name", J.Str sh.name);
-                  ("addr", J.Str (Net.addr_string sh.s_addr));
-                  ("down", J.Bool (sh.down_until > now)) ])
-            t.shard_tbl)) ]
+  Mutex.protect t.m (fun () ->
+      J.Obj
+        [ ("role", J.Str "router");
+          ("uptime_s", J.Float (now -. t.started));
+          ("requests", J.Int requests);
+          ("routed", J.Int t.routed);
+          ("hedged", J.Int t.hedged);
+          ("hedge_wins", J.Int t.hedge_wins);
+          ("failovers", J.Int t.failovers);
+          ("errors", J.Int errors);
+          ("unavailable", J.Int t.unavailable);
+          ("promotions", J.Int t.promotions);
+          ("hedge_threshold_ms", J.Float (t.hedge_threshold *. 1000.0));
+          ("latency_ms", latency);
+          ("shards",
+           J.Arr
+             (List.map
+                (fun (_, sh) ->
+                  J.Obj
+                    [ ("name", J.Str sh.name);
+                      ("addr", J.Str (Net.addr_string sh.s_addr));
+                      ("down", J.Bool (sh.down_until > now)) ])
+                t.shard_tbl)) ])
+
+(* The ops the front routes here, each forwarded along the ring. *)
+let route t (r : Front.request) =
+  let facts = r.Front.facts in
+  let single_owner key =
+    (* A replica put or a profile push addresses a single owner, with no
+       hedging (a push is not idempotent: replaying it would double the
+       counts). *)
+    facts.key <- key;
+    Mutex.protect t.m (fun () -> t.routed <- t.routed + 1);
+    forward t r ~hedge:false (candidates t key ~hits:0 ~promoted:false)
+  in
+  match r.Front.op with
+  | Protocol.Put (key, _) -> single_owner key
+  | Protocol.Profile (preq, _) ->
+    (* A profile push must land where the program's analyses land —
+       the route_key owner — so the shard that serves the VRS requests
+       is the one whose epoch advances. *)
+    single_owner (Protocol.route_key preq)
+  | Protocol.Analyze req ->
+    Mutex.protect t.m (fun () -> t.routed <- t.routed + 1);
+    let rkey = Protocol.route_key req in
+    let ckey = Protocol.cache_key req in
+    facts.key <- rkey;
+    let hits, promoted = bump_hits t ckey in
+    let cands = candidates t rkey ~hits ~promoted in
+    let resp =
+      if not (Span.enabled ()) then begin
+        (* Tracing off: the wire request is forwarded untouched (a
+           client-supplied trace id still reaches the shards). *)
+        facts.trace <- req.Protocol.trace_id;
+        forward t r ~hedge:true cands
+      end
+      else begin
+        (* Adopt the client's trace id or mint one, open the router
+           request span under it, and hand the inner context (whose
+           parent is that span) to every attempt. *)
+        let trace =
+          match req.Protocol.trace_id with
+          | Some tr -> tr
+          | None -> mint_trace ()
+        in
+        facts.trace <- Some trace;
+        let outer =
+          { Span.trace;
+            parent = Option.value ~default:0 req.Protocol.parent_span }
+        in
+        Span.with_context (Some outer) (fun () ->
+            Span.with_ ~name:"request"
+              ~args:[ ("op", J.Str "analyze") ]
+              (fun () ->
+                (match req.Protocol.parent_span with
+                | Some parent ->
+                  Span.flow_in ~id:(Span.wire_flow_id ~trace ~parent)
+                | None -> ());
+                let traced =
+                  Option.map (fun c -> (r.Front.json, c)) (Span.current ())
+                in
+                forward t r ~hedge:true ?traced cands))
+      end
+    in
+    maybe_promote t ckey rkey ~hits ~promoted resp;
+    if Front.record_latency t.front r.Front.arrived mod 64 = 0 then
+      recompute_threshold t;
+    resp
+  | Protocol.(Ping | Stats | Metrics | Trace | Flight) ->
+    (* answered by the front *)
+    assert false
 
 let handle_line t line =
-  let t0 = Clock.now () in
-  locked t (fun () -> t.requests <- t.requests + 1);
-  (* Flight-record facts filled in as the request progresses. *)
-  let fl_id = ref None and fl_trace = ref None and fl_key = ref "" in
-  let fl_hedged = ref false and fl_op = ref "invalid" in
-  let response =
-    match J.of_string line with
-    | exception J.Parse_error msg ->
-      locked t (fun () -> t.errors <- t.errors + 1);
-      envelope ~status:"error" [ ("error", J.Str msg) ]
-    | j -> (
-      let id = match J.member "id" j with J.Str s -> Some s | _ -> None in
-      fl_id := id;
-      match Protocol.op_of_json j with
-      | exception J.Parse_error msg ->
-        locked t (fun () -> t.errors <- t.errors + 1);
-        envelope ?id ~status:"error" [ ("error", J.Str msg) ]
-      | exception Protocol.Version_mismatch got ->
-        locked t (fun () -> t.errors <- t.errors + 1);
-        envelope ?id ~status:"unsupported_protocol"
-          [ ("error", J.Str "protocol version mismatch");
-            ("expected", J.Int Protocol.proto_version);
-            ("got", J.Int got) ]
-      | Protocol.Ping ->
-        fl_op := "ping";
-        envelope ?id ~status:"ok" [ ("op", J.Str "ping") ]
-      | Protocol.Stats ->
-        fl_op := "stats";
-        envelope ?id ~status:"ok"
-          [ ("op", J.Str "stats"); ("result", stats_json t) ]
-      | Protocol.Metrics ->
-        fl_op := "metrics";
-        envelope ?id ~status:"ok"
-          [ ("op", J.Str "metrics");
-            ("exposition", J.Str (Metrics.to_prometheus ()));
-            ("result", Metrics.to_json ()) ]
-      | Protocol.Trace ->
-        fl_op := "trace";
-        envelope ?id ~status:"ok"
-          [ ("op", J.Str "trace");
-            ("process", J.Str "router");
-            ("result", fleet_trace_json t) ]
-      | Protocol.Flight ->
-        fl_op := "flight";
-        envelope ?id ~status:"ok"
-          [ ("op", J.Str "flight"); ("result", Flight.to_json_all ()) ]
-      | Protocol.Fetch key | Protocol.Put (key, _) ->
-        (* Replication ops address a single owner; no hedging. *)
-        fl_op := (match J.member "op" j with J.Str s -> s | _ -> "fetch");
-        fl_key := key;
-        locked t (fun () -> t.routed <- t.routed + 1);
-        let cands = candidates t key ~hits:0 ~promoted:false in
-        fst (forward t ~t0 ~id ~hedge:false line cands)
-      | Protocol.Profile (preq, _) ->
-        (* A profile push must land where the program's analyses land —
-           the route_key owner — so the shard that serves the VRS
-           requests is the one whose epoch advances.  Single owner, no
-           hedging (a push is not idempotent: replaying it would double
-           the counts). *)
-        fl_op := "profile";
-        let rkey = Protocol.route_key preq in
-        fl_key := rkey;
-        locked t (fun () -> t.routed <- t.routed + 1);
-        let cands = candidates t rkey ~hits:0 ~promoted:false in
-        fst (forward t ~t0 ~id ~hedge:false line cands)
-      | Protocol.Analyze req ->
-        fl_op := "analyze";
-        locked t (fun () -> t.routed <- t.routed + 1);
-        let rkey = Protocol.route_key req in
-        let ckey = Protocol.cache_key req in
-        fl_key := rkey;
-        let hits, already_promoted = bump_hits t ckey in
-        let cands = candidates t rkey ~hits ~promoted:already_promoted in
-        let serve ~traced () =
-          let resp, hedged = forward t ~t0 ~id ~hedge:true ?traced line cands in
-          fl_hedged := hedged;
-          resp
-        in
-        let resp =
-          if not (Span.enabled ()) then begin
-            (* Tracing off: the wire request is forwarded untouched (a
-               client-supplied trace id still reaches the shards). *)
-            fl_trace := req.Protocol.trace_id;
-            serve ~traced:None ()
-          end
-          else begin
-            (* Adopt the client's trace id or mint one, open the router
-               request span under it, and hand the inner context (whose
-               parent is that span) to every attempt. *)
-            let trace =
-              match req.Protocol.trace_id with
-              | Some tr -> tr
-              | None -> mint_trace ()
-            in
-            fl_trace := Some trace;
-            let outer =
-              { Span.trace;
-                parent = Option.value ~default:0 req.Protocol.parent_span }
-            in
-            Span.with_context (Some outer) (fun () ->
-                Span.with_ ~name:"request"
-                  ~args:[ ("op", J.Str "analyze") ]
-                  (fun () ->
-                    (match req.Protocol.parent_span with
-                    | Some parent ->
-                      Span.flow_in ~id:(Span.wire_flow_id ~trace ~parent)
-                    | None -> ());
-                    let traced =
-                      Option.map (fun c -> (j, c)) (Span.current ())
-                    in
-                    serve ~traced ()))
-          end
-        in
-        maybe_promote t ckey rkey ~hits resp;
-        record_latency t (Clock.since t0 *. 1000.0);
-        resp)
-  in
-  Flight.record
-    { Flight.f_id = !fl_id;
-      f_trace = !fl_trace;
-      f_key = !fl_key;
-      f_shard = "router";
-      f_op = !fl_op;
-      f_queue_ms = 0.0;
-      f_hedged = !fl_hedged;
-      f_cache = "";
-      f_outcome = status_of_line response;
-      f_ms = Clock.since t0 *. 1000.0;
-      f_ts = Unix.gettimeofday () };
-  response
+  Front.handle_line t.front
+    ~stats:(fun () -> stats_json t)
+    ~trace:(fun () -> fleet_trace_json t)
+    (route t) line
 
 (* --- lifecycle ------------------------------------------------------------ *)
 
@@ -781,7 +658,7 @@ let install_sigint t =
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop t))
 
 let run t =
-  Server.install_sigusr1 ();
+  Front.install_sigusr1 ();
   Log.info "ogc-router: listening"
     ~fields:
       [ ("version", J.Str Version.version);
@@ -795,4 +672,4 @@ let run t =
   Log.info "ogc-router: stopped"
     ~fields:
       [ ("uptime_s", J.Float (Clock.since t.started));
-        ("requests", J.Int (locked t (fun () -> t.requests))) ]
+        ("requests", J.Int (Front.requests t.front)) ]

@@ -39,9 +39,12 @@
     is logged at warn with the shard and the error, and counted in
     [ogc_router_shard_replica_put_failures_total{shard}].
 
-    Local ops ([ping], [stats], [metrics], [flight]) are answered by the
-    router itself; [stats] reports routing counters and per-shard health
-    rather than proxying a single shard.
+    Each line goes through the request front {!Ogc_server.Front}, the
+    same as in [ogc serve]: it answers the local ops ([ping], [stats],
+    [metrics], [trace], [flight]) and the parse errors, replies exactly
+    once per line and leaves one {!Ogc_obs.Flight} record per line
+    (with the hedged flag).  [stats] reports routing counters and
+    per-shard health rather than proxying a single shard.
 
     {b Tracing.}  When {!Ogc_obs.Span} collection is on, every analyze
     gets a trace id (the client's ["trace_id"] if it sent one, a minted
@@ -53,12 +56,7 @@
     shard's (via their own [trace] op) into one
     [{"processes":[{"name",..,"trace",..}]}] document — [ogc trace
     --fleet] merges it into a single Perfetto trace.  Tracing off (the
-    default), request lines are forwarded byte-identically.
-
-    {b Flight recorder.}  Every request — including local ops and parse
-    errors — leaves one bounded-ring {!Ogc_obs.Flight} record (id, trace
-    id, route key, op, hedged flag, outcome, duration); the [flight] op
-    returns the ring, and SIGUSR1 dumps it as NDJSON on stderr. *)
+    default), request lines are forwarded byte-identically. *)
 
 type target = { t_name : string; t_addr : Ogc_net.Net.addr }
 

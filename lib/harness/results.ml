@@ -189,11 +189,7 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
   (* The caller's progress callback is not required to be thread-safe;
      serialize it. *)
   let progress_mutex = Mutex.create () in
-  let progress s =
-    Mutex.lock progress_mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock progress_mutex) (fun () ->
-        progress s)
-  in
+  let progress s = Mutex.protect progress_mutex (fun () -> progress s) in
   (* Every binary version gets the generic binary-optimizer cleanups,
      baseline included — the paper's baseline is Alto-processed too.
      Compilation from MiniC happens once per workload; versions start
@@ -220,8 +216,9 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
     | Some names ->
       List.filter (fun (w : Workload.t) -> List.mem w.name names) Workload.all
   in
-  (* Phase 1: one task per workload — compile, reference run, baseline
-     binary under the three hardware-side policies. *)
+  (* Phase 1: one task per workload — compile, then the baseline binary
+     under the three hardware-side policies; the ungated run doubles as
+     the reference run. *)
   let base_infos, ph1_s =
     Span.timed ~name:"collect:baselines" @@ fun () ->
     Pool.map ~jobs
@@ -233,13 +230,17 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
         let base = scaled_copy pristine eval_input in
         let st, _ = Pass.run ~store "cleanup" base in
         let base = st.Pass.prog in
-        let reference = Interp.run base in
+        (* [simulate] takes its checksum from the interpreter run it
+           replays, so the ungated run's is the reference checksum. *)
+        let b_none =
+          sim ~spill_bytes_of:spill_fn ~policy:Policy.No_gating base
+        in
         {
           bw = w;
           pristine;
           store;
-          ref_checksum = reference.Interp.checksum;
-          b_none = sim ~spill_bytes_of:spill_fn ~policy:Policy.No_gating base;
+          ref_checksum = b_none.Pipeline.checksum;
+          b_none;
           b_hwsig =
             sim ~spill_bytes_of:spill_fn ~policy:Policy.Hw_significance base;
           b_hwsize = sim ~spill_bytes_of:spill_fn ~policy:Policy.Hw_size base;

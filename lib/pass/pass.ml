@@ -404,11 +404,7 @@ module Store = struct
 
   let fn_cache t = t.fn_cache
 
-  let locked t f =
-    Mutex.lock t.m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
-  let set_fallback t f = locked t (fun () -> t.fallback <- Some f)
+  let set_fallback t f = Mutex.protect t.m (fun () -> t.fallback <- Some f)
 
   let counters t pass =
     match Hashtbl.find_opt t.by_pass pass with
@@ -419,13 +415,13 @@ module Store = struct
       c
 
   let peek t ~pass:_ key =
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         Option.map
           (fun slot -> snapshot slot.s_state)
           (Hashtbl.find_opt t.tbl key))
 
   let find_local t ~pass key =
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         let c = counters t pass in
         match Hashtbl.find_opt t.tbl key with
         | Some slot ->
@@ -440,7 +436,7 @@ module Store = struct
   (* Grabbed under the lock so a concurrent [set_fallback] can't tear
      the read; the fallback itself runs outside the lock because it may
      call [peek] on a sibling store. *)
-  let fallback_of t = locked t (fun () -> t.fallback)
+  let fallback_of t = Mutex.protect t.m (fun () -> t.fallback)
 
   (* Caller must hold [t.m]. *)
   let insert_locked t key st =
@@ -465,7 +461,7 @@ module Store = struct
     end
 
   let install t ~pass key st =
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         let c = counters t pass in
         c.replica <- c.replica + 1;
         insert_locked t key st)
@@ -483,16 +479,18 @@ module Store = struct
           install t ~pass key st;
           Some st))
 
-  let store t ~pass:_ key st = locked t (fun () -> insert_locked t key st)
-  let entries t = locked t (fun () -> Hashtbl.length t.tbl)
+  let store t ~pass:_ key st =
+    Mutex.protect t.m (fun () -> insert_locked t key st)
+
+  let entries t = Mutex.protect t.m (fun () -> Hashtbl.length t.tbl)
 
   let pass_stats t =
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         Hashtbl.fold (fun n c acc -> (n, c.hits, c.misses) :: acc) t.by_pass []
         |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b))
 
   let replica_stats t =
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         Hashtbl.fold (fun n c acc -> (n, c.replica) :: acc) t.by_pass []
         |> List.filter (fun (_, r) -> r > 0)
         |> List.sort (fun (a, _) (b, _) -> String.compare a b))

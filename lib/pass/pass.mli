@@ -125,9 +125,9 @@ module Store : sig
 
   val set_fallback : t -> (pass:string -> string -> state option) -> unit
   (** Attach a second-level lookup consulted on local misses (e.g. the
-      {!peek}s of co-located shard stores, or a replication fetch).  The
-      fallback runs outside the store lock and must not call {!find} or
-      {!store} on this store. *)
+      {!peek}s of co-located shard stores).  The fallback runs outside
+      the store lock and must not call {!find} or {!store} on this
+      store. *)
 
   val store : t -> pass:string -> string -> state -> unit
   (** Idempotent: re-storing an existing address keeps the first

@@ -4,7 +4,9 @@
    O(capacity) scan — capacities are a few hundred entries, and each
    miss it amortizes costs a full compile + analysis + simulation). *)
 
+module J = Ogc_json.Json
 module Metrics = Ogc_obs.Metrics
+module Log = Ogc_obs.Log
 
 let m_hits_mem =
   Metrics.counter "ogc_cache_hits_total" ~labels:[ ("tier", "memory") ]
@@ -13,6 +15,7 @@ let m_hits_disk =
   Metrics.counter "ogc_cache_hits_total" ~labels:[ ("tier", "disk") ]
 
 let m_misses = Metrics.counter "ogc_cache_misses_total"
+let m_disk_errors = Metrics.counter "ogc_cache_disk_errors_total"
 let m_evictions = Metrics.counter "ogc_cache_evictions_total"
 let m_entries = Metrics.gauge "ogc_cache_entries"
 let m_bytes = Metrics.gauge "ogc_cache_bytes"
@@ -61,32 +64,48 @@ let create ?(capacity = 256) ?dir () =
     disk_hits = 0;
     mem_bytes = 0 }
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
 let path_of t key =
   match t.dir with
   | None -> None
   | Some d -> Some (Filename.concat d (key ^ ".json"))
 
 let read_file path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-  end
+  if Sys.file_exists path then
+    Some (In_channel.with_open_bin path In_channel.input_all)
+  else None
 
-(* Atomic publish: a crashed writer never leaves a torn cache file. *)
+(* Atomic publish: a crashed writer never leaves a torn cache file.  The
+   flush is inside the callback because [with_open_bin] closes without
+   reporting errors: a failed write must raise before the rename, and a
+   failure leaves no [.tmp] behind. *)
 let write_file path value =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc value;
-  close_out oc;
-  Sys.rename tmp path
+  try
+    Out_channel.with_open_bin tmp (fun oc ->
+        Out_channel.output_string oc value;
+        Out_channel.flush oc);
+    Sys.rename tmp path
+  with Sys_error _ as e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+(* The disk tier is best-effort: a read that fails is a miss, a write
+   that fails keeps the memory entry.  Either is counted and logged with
+   its path, and neither reaches the request. *)
+let disk_failed op path e =
+  Metrics.incr m_disk_errors;
+  Log.warn
+    (Printf.sprintf "ogc-cache: disk %s failed" op)
+    ~fields:[ ("path", J.Str path); ("error", J.Str (Printexc.to_string e)) ]
+
+let read_disk t key =
+  match path_of t key with
+  | None -> None
+  | Some path -> (
+    try read_file path
+    with Sys_error _ as e ->
+      disk_failed "read" path e;
+      None)
 
 let insert_locked t key value =
   if not (Hashtbl.mem t.tbl key) then begin
@@ -116,7 +135,7 @@ let insert_locked t key value =
   end
 
 let find t key =
-  locked t (fun () ->
+  Mutex.protect t.m (fun () ->
       match Hashtbl.find_opt t.tbl key with
       | Some e ->
         t.tick <- t.tick + 1;
@@ -125,36 +144,26 @@ let find t key =
         Metrics.incr m_hits_mem;
         Some e.value
       | None -> (
-        match Option.map read_file (path_of t key) with
-        | Some (Some value) ->
+        match read_disk t key with
+        | Some value ->
           (* Disk hit: promote into the in-memory tier. *)
           insert_locked t key value;
           t.hits <- t.hits + 1;
           t.disk_hits <- t.disk_hits + 1;
           Metrics.incr m_hits_disk;
           Some value
-        | _ ->
+        | None ->
           t.misses <- t.misses + 1;
           Metrics.incr m_misses;
           None))
 
-(* Replication probes (is this result here?) must not distort the LRU
-   order or the hit/miss telemetry the serve loop's accounting relies
-   on, so [peek] bypasses both. *)
-let peek t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e -> Some e.value
-      | None -> (
-        match Option.map read_file (path_of t key) with
-        | Some (Some value) -> Some value
-        | _ -> None))
-
 let store t key value =
-  locked t (fun () ->
+  Mutex.protect t.m (fun () ->
       insert_locked t key value;
       match path_of t key with
-      | Some path when not (Sys.file_exists path) -> write_file path value
+      | Some path when not (Sys.file_exists path) -> (
+        try write_file path value
+        with Sys_error _ as e -> disk_failed "write" path e)
       | _ -> ())
 
 (* Disk-tier footprint: one stat per entry file.  Not under the cache
@@ -179,7 +188,7 @@ let disk_usage t =
 
 let stats t =
   let disk_entries, disk_bytes = disk_usage t in
-  locked t (fun () ->
+  Mutex.protect t.m (fun () ->
       { entries = Hashtbl.length t.tbl;
         capacity = t.capacity;
         hits = t.hits;

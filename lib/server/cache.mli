@@ -10,7 +10,10 @@
       written atomically via rename), so a restarted server — or another
       server sharing the directory — rehydrates results it has never
       computed.  Disk lookups count as hits and promote the entry back
-      into memory.
+      into memory.  The disk tier is best-effort: a read that fails is a
+      miss and a write that fails keeps the memory entry; each failure
+      is logged at warn with its path and counted in
+      [ogc_cache_disk_errors_total].
 
     All operations are thread-safe (one mutex; no I/O is performed while
     other threads are blocked on an analysis). *)
@@ -38,12 +41,6 @@ val create : ?capacity:int -> ?dir:string -> unit -> t
 
 val find : t -> string -> string option
 (** Memory first, then disk; updates hit/miss counters and recency. *)
-
-val peek : t -> string -> string option
-(** Memory first, then disk, but with no side effects: no counter
-    updates, no recency restamp, no disk-to-memory promotion.  Used by
-    replication probes, which must not distort the serve loop's cache
-    accounting. *)
 
 val store : t -> string -> string -> unit
 (** Idempotent: re-storing an existing key keeps the first value. *)

@@ -30,15 +30,11 @@ let create ?(capacity = 256) () =
     pushes = 0;
   }
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
 (* Merge a client delta (already decoded — decoding happens outside the
    lock) into the program's accumulator and bump its epoch.  Returns the
    new epoch. *)
 let push t key delta =
-  locked t (fun () ->
+  Mutex.protect t.m (fun () ->
       let acc =
         match Hashtbl.find_opt t.programs key with
         | Some p -> p
@@ -61,6 +57,8 @@ let push t key delta =
 (* A deep copy: what a request consumes must never alias the
    accumulator a concurrent push is mutating. *)
 let find t key =
-  locked t (fun () -> Option.map Profile.copy (Hashtbl.find_opt t.programs key))
+  Mutex.protect t.m (fun () ->
+      Option.map Profile.copy (Hashtbl.find_opt t.programs key))
 
-let stats t = locked t (fun () -> (Hashtbl.length t.programs, t.pushes))
+let stats t =
+  Mutex.protect t.m (fun () -> (Hashtbl.length t.programs, t.pushes))

@@ -36,7 +36,6 @@ type op =
   | Stats
   | Ping
   | Metrics
-  | Fetch of string
   | Put of string * J.t
   | Trace
   | Flight
@@ -163,7 +162,6 @@ let op_of_json j =
   | Some "stats" -> Stats
   | Some "ping" -> Ping
   | Some "metrics" -> Metrics
-  | Some "fetch" -> Fetch (key_arg j)
   | Some "put" -> (
     match J.member "result" j with
     | J.Null -> fail "member \"result\": required"
@@ -183,8 +181,8 @@ let op_of_json j =
         fail "member \"profile\": %s" m))
   | Some op ->
     fail
-      "unknown op %S (expected analyze, stats, ping, metrics, fetch, put, \
-       trace, flight or profile)"
+      "unknown op %S (expected analyze, stats, ping, metrics, put, trace, \
+       flight or profile)"
       op
 
 (* --- cache key ------------------------------------------------------------ *)

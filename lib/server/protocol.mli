@@ -16,8 +16,9 @@
     ["deadline_ms"], ["return_program"] (include the re-encoded program
     in the result), ["id"] (opaque, echoed in the response),
     ["trace_id"]/["parent_span"] (distributed-trace context), and ["op"]
-    (["analyze"] default, ["stats"], ["ping"], ["metrics"], ["trace"],
-    ["flight"], ["profile"]).
+    (["analyze"] default, ["profile"], ["put"], or one of the local ops
+    ["stats"], ["ping"], ["metrics"], ["trace"], ["flight"], which
+    {!Front} answers the same way in serve and router).
 
     The result payload of an analysis contains the static and dynamic
     width histograms of the optimized program, modelled energy / IPC and
@@ -56,7 +57,6 @@ type op =
   | Stats
   | Ping
   | Metrics
-  | Fetch of string  (** replication: read a cached result by key *)
   | Put of string * Ogc_json.Json.t
       (** replication: install a result under its key *)
   | Trace  (** return this process's span rings ({!Ogc_obs.Span.export}) *)
@@ -82,8 +82,8 @@ val op_of_json : Ogc_json.Json.t -> op
 (** Raises [Ogc_json.Json.Parse_error] on malformed requests and
     {!Version_mismatch} on a protocol version conflict.  An absent
     ["proto"] member denotes a pre-handshake client and is accepted.
-    [fetch]/[put] keys must be 32 lowercase hex characters (the
-    {!cache_key} shape). *)
+    [put] keys must be 32 lowercase hex characters (the {!cache_key}
+    shape). *)
 
 val pass_name : pass -> string
 val input_name : Ogc_workloads.Workload.input -> string

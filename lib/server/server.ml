@@ -12,7 +12,7 @@ exception Deadline_exceeded
 (* Per-op request counters and latency histograms; "invalid" covers
    lines that never parsed far enough to name an op. *)
 let known_ops =
-  [ "analyze"; "stats"; "ping"; "metrics"; "fetch"; "put"; "trace"; "flight";
+  [ "analyze"; "stats"; "ping"; "metrics"; "put"; "trace"; "flight";
     "profile"; "respec"; "invalid" ]
 
 let m_requests =
@@ -50,11 +50,10 @@ let default_config addr =
     slow_ms = None;
     inject_slow_ms = None }
 
-let lat_window = 1024
-
 type t = {
   cfg : config;
   listener : Net.listener;
+  front : Front.t;
   pool : Pool.t;
   cache : Cache.t;
   passes : Ogc_pass.Pass.Store.t;
@@ -73,28 +72,21 @@ type t = {
   respec_inflight : (string, unit) Hashtbl.t;
       (* epoch-salted keys with a background re-specialization queued or
          running — dedup so a burst of stale hits schedules one *)
-  mutable requests : int;
   mutable analyses : int;  (* cache misses actually computed *)
-  mutable errors : int;
   mutable rejected : int;  (* overload replies *)
   mutable expired : int;  (* deadline replies *)
-  mutable fetches : int;  (* replication fetch ops served *)
-  mutable fetch_hits : int;  (* ... that found the key *)
   mutable puts : int;  (* replication put ops accepted *)
   mutable stale_served : int;  (* previous-epoch answers served *)
   mutable respecs : int;  (* background re-specializations completed *)
-  latencies : float array;  (* ring of the last [lat_window] latencies, ms *)
-  mutable lat_n : int;
 }
-
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 (* --- socket setup --------------------------------------------------------- *)
 
 let create cfg =
   let listener = Net.listen ~name:"ogc-serve" cfg.addr in
+  let name =
+    match cfg.shard_id with Some i -> "shard-" ^ i | None -> "serve"
+  in
   (match cfg.slow_ms with
   | Some _ -> Flight.set_slow_ms cfg.slow_ms
   | None -> ());
@@ -109,6 +101,7 @@ let create cfg =
   in
   { cfg;
     listener;
+    front = Front.create ~name;
     pool = Pool.create ?jobs:cfg.jobs ();
     cache = Cache.create ~capacity:cfg.cache_capacity ?dir:cache_dir ();
     passes = Ogc_pass.Pass.Store.create ~capacity:cfg.cache_capacity ();
@@ -118,18 +111,12 @@ let create cfg =
     m = Mutex.create ();
     served = Hashtbl.create 64;
     respec_inflight = Hashtbl.create 8;
-    requests = 0;
     analyses = 0;
-    errors = 0;
     rejected = 0;
     expired = 0;
-    fetches = 0;
-    fetch_hits = 0;
     puts = 0;
     stale_served = 0;
-    respecs = 0;
-    latencies = Array.make lat_window 0.0;
-    lat_n = 0 }
+    respecs = 0 }
 
 (* Co-located in-process shards: wire every shard's pass store to peek
    at its siblings' on a local miss, so a chain-prefix artifact computed
@@ -147,30 +134,21 @@ let link_stores ts =
 
 (* --- stats ----------------------------------------------------------------- *)
 
-let percentile = Metrics.percentile_sorted
-
 let stats_json t =
   let c = Cache.stats t.cache in
-  let lats, counters, repl, stale =
-    locked t (fun () ->
-        ( Array.sub t.latencies 0 (min t.lat_n lat_window),
-          (t.requests, t.analyses, t.errors, t.rejected, t.expired, t.lat_n),
-          (t.fetches, t.fetch_hits, t.puts),
-          (t.stale_served, t.respecs) ))
+  let analyses, rejected, expired, puts, stale_served, respecs =
+    Mutex.protect t.m (fun () ->
+        (t.analyses, t.rejected, t.expired, t.puts, t.stale_served, t.respecs))
   in
-  let requests, analyses, errors, rejected, expired, lat_n = counters in
-  let fetches, fetch_hits, puts = repl in
-  let stale_served, respecs = stale in
-  Array.sort compare lats;
   let lookups = c.Cache.hits + c.Cache.misses in
   J.Obj
     ((match t.cfg.shard_id with
      | Some id -> [ ("shard_id", J.Str id) ]
      | None -> [])
     @ [ ("uptime_s", J.Float (Clock.since t.started));
-      ("requests", J.Int requests);
+      ("requests", J.Int (Front.requests t.front));
       ("analyses", J.Int analyses);
-      ("errors", J.Int errors);
+      ("errors", J.Int (Front.errors t.front));
       ("rejected", J.Int rejected);
       ("expired", J.Int expired);
       ("cache",
@@ -206,11 +184,7 @@ let stats_json t =
                        | Some r -> [ ("replica", J.Int r) ]
                        | None -> []) ))
                  (Ogc_pass.Pass.Store.pass_stats t.passes))) ]);
-      ("replication",
-       J.Obj
-         [ ("fetches", J.Int fetches);
-           ("fetch_hits", J.Int fetch_hits);
-           ("puts", J.Int puts) ]);
+      ("replication", J.Obj [ ("puts", J.Int puts) ]);
       ("profile",
        (let programs, pushes = Profile_store.stats t.profiles in
         let fn_hits, fn_runs =
@@ -227,11 +201,7 @@ let stats_json t =
                rather than recomputed *)
             ("fn_cache",
              J.Obj [ ("hits", J.Int fn_hits); ("runs", J.Int fn_runs) ]) ]));
-      ("latency_ms",
-       J.Obj
-         [ ("count", J.Int lat_n);
-           ("p50", J.Float (percentile lats 0.50));
-           ("p95", J.Float (percentile lats 0.95)) ]);
+      ("latency_ms", Front.latency_json t.front);
       (* Per-op second-denominated histograms from the metrics registry;
          all-zero until metrics are enabled. *)
       ("latency_by_op",
@@ -242,34 +212,7 @@ let stats_json t =
            ("pending", J.Int (Atomic.get t.pending));
            ("queue_limit", J.Int t.cfg.queue_limit) ]) ])
 
-let record_latency t ms =
-  locked t (fun () ->
-      t.latencies.(t.lat_n mod lat_window) <- ms;
-      t.lat_n <- t.lat_n + 1)
-
 (* --- request handling ------------------------------------------------------ *)
-
-let envelope ?id ~status extra =
-  J.to_string ~indent:false
-    (J.Obj
-       (("version", J.Str Version.version)
-        :: (match id with Some s -> [ ("id", J.Str s) ] | None -> [])
-        @ (("status", J.Str status) :: extra)))
-
-(* Per-request facts the flight recorder wants but only the handler
-   knows; filled in as the request progresses, written once at the end
-   of [handle_line]. *)
-type flight_info = {
-  mutable fi_id : string option;
-  mutable fi_trace : string option;
-  mutable fi_key : string;
-  mutable fi_queue_ms : float;
-  mutable fi_cache : string;
-  mutable fi_status : string;
-}
-
-let shard_name t =
-  match t.cfg.shard_id with Some i -> "shard-" ^ i | None -> "serve"
 
 (* One background re-specialization per (request shape, epoch),
    admission-gated by the same bounded queue as foreground analyses;
@@ -280,7 +223,7 @@ let shard_name t =
 let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
     ~base_key =
   let fresh =
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         if Hashtbl.mem t.respec_inflight key then false
         else begin
           Hashtbl.replace t.respec_inflight key ();
@@ -290,7 +233,7 @@ let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
   if fresh then begin
     if Atomic.fetch_and_add t.pending 1 >= t.cfg.queue_limit then begin
       Atomic.decr t.pending;
-      locked t (fun () -> Hashtbl.remove t.respec_inflight key)
+      Mutex.protect t.m (fun () -> Hashtbl.remove t.respec_inflight key)
     end
     else begin
       let submitted = Clock.now () in
@@ -307,34 +250,28 @@ let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
                          (Protocol.analyze ~store:t.passes ?wire req))
                  in
                  Cache.store t.cache key payload;
-                 locked t (fun () ->
+                 Mutex.protect t.m (fun () ->
                      t.respecs <- t.respecs + 1;
                      match Hashtbl.find_opt t.served base_key with
                      | Some (e, _) when e >= epoch -> ()
                      | _ -> Hashtbl.replace t.served base_key (epoch, key));
                  "ok"
                with _ ->
-                 locked t (fun () -> t.errors <- t.errors + 1);
+                 Front.count_error t.front;
                  "error"
              in
              Atomic.decr t.pending;
-             locked t (fun () -> Hashtbl.remove t.respec_inflight key);
-             Flight.record
-               { Flight.f_id = req.Protocol.id;
-                 f_trace = None;
-                 f_key = rkey;
-                 f_shard = shard_name t;
-                 f_op = "respec";
-                 f_queue_ms = (t1 -. submitted) *. 1000.0;
-                 f_hedged = false;
-                 f_cache = "miss";
-                 f_outcome = outcome;
-                 f_ms = Clock.since t1 *. 1000.0;
-                 f_ts = Unix.gettimeofday () };
+             Mutex.protect t.m (fun () ->
+                 Hashtbl.remove t.respec_inflight key);
+             Front.record t.front ~op:"respec" ?id:req.Protocol.id
+               { Front.key = rkey;
+                 trace = None;
+                 queue_ms = (t1 -. submitted) *. 1000.0;
+                 hedged = false;
+                 cache = "miss" }
+               ~outcome ~ms:(Clock.since t1 *. 1000.0);
              if Metrics.enabled () then
-               match List.assoc_opt "respec" m_requests with
-               | Some c -> Metrics.incr c
-               | None -> ()))
+               Option.iter Metrics.incr (List.assoc_opt "respec" m_requests)))
     end
   end
 
@@ -343,12 +280,12 @@ let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
    the newest previous-epoch artifact immediately and re-specialize in
    the background.  [None] means no usable stale answer: compute
    synchronously as usual. *)
-let serve_stale t ~t0 ~fi ?id ~(req : Protocol.request) ~rkey ~wire ~epoch
-    ~key ~base_key () =
+let serve_stale t (r : Front.request) ~(req : Protocol.request) ~rkey ~wire
+    ~epoch ~key ~base_key =
   if epoch = 0 then None
   else
     match
-      locked t (fun () ->
+      Mutex.protect t.m (fun () ->
           match Hashtbl.find_opt t.served base_key with
           | Some (e_old, old_key) when e_old < epoch -> Some (e_old, old_key)
           | _ -> None)
@@ -359,23 +296,24 @@ let serve_stale t ~t0 ~fi ?id ~(req : Protocol.request) ~rkey ~wire ~epoch
       | None -> None
       | Some payload ->
         schedule_respec t ~req ~rkey ~wire ~epoch ~key ~base_key;
-        record_latency t (Clock.since t0 *. 1000.0);
-        fi.fi_cache <- "stale";
-        locked t (fun () -> t.stale_served <- t.stale_served + 1);
+        ignore (Front.record_latency t.front r.Front.arrived);
+        r.Front.facts.cache <- "stale";
+        Mutex.protect t.m (fun () -> t.stale_served <- t.stale_served + 1);
         Some
-          (envelope ?id ~status:"ok"
+          (Front.envelope ?id:req.Protocol.id ~status:"ok"
              [ ("cache", J.Str "stale");
                ("profile_epoch", J.Int epoch);
                ("served_epoch", J.Int e_old);
                ("result", J.of_string payload) ]))
 
-let handle_analyze t ~t0 ~fi (req : Protocol.request) =
+let handle_analyze t (r : Front.request) (req : Protocol.request) =
   (match t.cfg.inject_slow_ms with
   | Some ms when ms > 0.0 -> Thread.delay (ms /. 1000.0)
   | _ -> ());
   let id = req.Protocol.id in
+  let facts = r.Front.facts in
   let rkey = Protocol.route_key req in
-  fi.fi_key <- rkey;
+  facts.key <- rkey;
   (* One consistent snapshot of the program's accumulated profile: the
      epoch that salts the key is the epoch of the very copy the chain
      will consume.  Only VRS chains consume profiles — every other pass
@@ -394,7 +332,7 @@ let handle_analyze t ~t0 ~fi (req : Protocol.request) =
      stale path wants to serve after the first push. *)
   let note_served () =
     if req.Protocol.pass = Protocol.P_vrs then
-      locked t (fun () ->
+      Mutex.protect t.m (fun () ->
           (* advisory map (a dangling entry just misses the stale path),
              so a hard reset is an acceptable bound *)
           if Hashtbl.length t.served > 4 * t.cfg.cache_capacity then
@@ -403,47 +341,42 @@ let handle_analyze t ~t0 ~fi (req : Protocol.request) =
           | Some (e, _) when e >= epoch -> ()
           | _ -> Hashtbl.replace t.served base_key (epoch, key))
   in
-  let fail status =
-    fi.fi_status <- status;
-    envelope ?id ~status
+  let expired () =
+    Mutex.protect t.m (fun () -> t.expired <- t.expired + 1);
+    Front.envelope ?id ~status:"deadline_exceeded"
+      [ ("error", J.Str "deadline expired before the analysis started") ]
   in
   match Span.with_ ~name:"cache_lookup" (fun () -> Cache.find t.cache key) with
   | Some payload ->
-    record_latency t (Clock.since t0 *. 1000.0);
-    fi.fi_cache <- "hit";
+    ignore (Front.record_latency t.front r.Front.arrived);
+    facts.cache <- "hit";
     note_served ();
-    envelope ?id ~status:"ok"
+    Front.envelope ?id ~status:"ok"
       [ ("cache", J.Str "hit"); ("result", J.of_string payload) ]
   | None ->
-    match
-      serve_stale t ~t0 ~fi ?id ~req ~rkey ~wire ~epoch ~key ~base_key ()
-    with
+    match serve_stale t r ~req ~rkey ~wire ~epoch ~key ~base_key with
     | Some response -> response
     | None ->
     if Option.fold ~none:false ~some:(fun ms -> ms <= 0) req.Protocol.deadline_ms
-    then begin
-      locked t (fun () -> t.expired <- t.expired + 1);
-      fail "deadline_exceeded"
-        [ ("error", J.Str "deadline expired before the analysis started") ]
-    end
+    then expired ()
     else if Atomic.fetch_and_add t.pending 1 >= t.cfg.queue_limit then begin
       (* Bounded queue: shed load instead of accepting unbounded work. *)
       Atomic.decr t.pending;
-      locked t (fun () -> t.rejected <- t.rejected + 1);
-      fail "overloaded"
+      Mutex.protect t.m (fun () -> t.rejected <- t.rejected + 1);
+      Front.envelope ?id ~status:"overloaded"
         [ ("error", J.Str "analysis queue is full, retry later");
           ("queue_limit", J.Int t.cfg.queue_limit) ]
     end
     else begin
       let deadline =
-        Option.map (fun ms -> t0 +. (float_of_int ms /. 1000.0))
+        Option.map (fun ms -> r.Front.arrived +. (float_of_int ms /. 1000.0))
           req.Protocol.deadline_ms
       in
       let submitted = Clock.now () in
       let ticket =
         Pool.submit t.pool (fun () ->
             let started = Clock.now () in
-            fi.fi_queue_ms <- (started -. submitted) *. 1000.0;
+            facts.queue_ms <- (started -. submitted) *. 1000.0;
             (match deadline with
             | Some d when started > d -> raise Deadline_exceeded
             | _ -> ());
@@ -457,167 +390,85 @@ let handle_analyze t ~t0 ~fi (req : Protocol.request) =
                 J.to_string ~indent:false
                   (Protocol.analyze ~store:t.passes ?wire req)))
       in
-      let outcome =
-        match Pool.await ticket with
-        | payload -> Ok payload
-        | exception e -> Error e
-      in
-      Atomic.decr t.pending;
-      match outcome with
-      | Ok payload ->
+      (* An analysis that raises anything but the deadline is answered
+         by the front's error reply. *)
+      match
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr t.pending)
+          (fun () -> Pool.await ticket)
+      with
+      | exception Deadline_exceeded -> expired ()
+      | payload ->
         Cache.store t.cache key payload;
         note_served ();
-        record_latency t (Clock.since t0 *. 1000.0);
-        locked t (fun () -> t.analyses <- t.analyses + 1);
-        fi.fi_cache <- "miss";
-        envelope ?id ~status:"ok"
+        ignore (Front.record_latency t.front r.Front.arrived);
+        Mutex.protect t.m (fun () -> t.analyses <- t.analyses + 1);
+        facts.cache <- "miss";
+        Front.envelope ?id ~status:"ok"
           [ ("cache", J.Str "miss"); ("result", J.of_string payload) ]
-      | Error Deadline_exceeded ->
-        locked t (fun () -> t.expired <- t.expired + 1);
-        fail "deadline_exceeded"
-          [ ("error", J.Str "deadline expired before the analysis started") ]
-      | Error (J.Parse_error msg | Failure msg) ->
-        locked t (fun () -> t.errors <- t.errors + 1);
-        fail "error" [ ("error", J.Str msg) ]
-      | Error e ->
-        locked t (fun () -> t.errors <- t.errors + 1);
-        fail "error" [ ("error", J.Str (Printexc.to_string e)) ]
     end
 
-let handle_line t line =
-  let t0 = Clock.now () in
-  locked t (fun () -> t.requests <- t.requests + 1);
-  let fi =
-    { fi_id = None; fi_trace = None; fi_key = ""; fi_queue_ms = 0.0;
-      fi_cache = ""; fi_status = "ok" }
-  in
-  let err status = fi.fi_status <- status in
-  let op_name, response =
-    match J.of_string line with
-    | exception J.Parse_error msg ->
-      locked t (fun () -> t.errors <- t.errors + 1);
-      err "error";
-      ("invalid", envelope ~status:"error" [ ("error", J.Str msg) ])
-    | j -> (
-      let id = match J.member "id" j with J.Str s -> Some s | _ -> None in
-      fi.fi_id <- id;
-      match Protocol.op_of_json j with
-      | exception J.Parse_error msg ->
-        locked t (fun () -> t.errors <- t.errors + 1);
-        err "error";
-        ("invalid", envelope ?id ~status:"error" [ ("error", J.Str msg) ])
-      | exception Protocol.Version_mismatch got ->
-        locked t (fun () -> t.errors <- t.errors + 1);
-        err "unsupported_protocol";
-        ( "invalid",
-          envelope ?id ~status:"unsupported_protocol"
-            [ ("error", J.Str "protocol version mismatch");
-              ("expected", J.Int Protocol.proto_version);
-              ("got", J.Int got) ] )
-      | Protocol.Ping ->
-        ("ping", envelope ?id ~status:"ok" [ ("op", J.Str "ping") ])
-      | Protocol.Stats ->
-        ( "stats",
-          envelope ?id ~status:"ok"
-            [ ("op", J.Str "stats"); ("result", stats_json t) ] )
-      | Protocol.Metrics ->
-        ( "metrics",
-          envelope ?id ~status:"ok"
-            [ ("op", J.Str "metrics");
-              ("exposition", J.Str (Metrics.to_prometheus ()));
-              ("result", Metrics.to_json ()) ] )
-      | Protocol.Trace ->
-        ( "trace",
-          envelope ?id ~status:"ok"
-            [ ("op", J.Str "trace");
-              ("process", J.Str (shard_name t));
-              ("result", Span.export ()) ] )
-      | Protocol.Flight ->
-        ( "flight",
-          envelope ?id ~status:"ok"
-            [ ("op", J.Str "flight"); ("result", Flight.to_json_all ()) ] )
-      | Protocol.Fetch key -> (
-        locked t (fun () -> t.fetches <- t.fetches + 1);
-        match Cache.peek t.cache key with
-        | Some payload ->
-          locked t (fun () -> t.fetch_hits <- t.fetch_hits + 1);
-          ( "fetch",
-            envelope ?id ~status:"ok"
-              [ ("op", J.Str "fetch");
-                ("found", J.Bool true);
-                ("result", J.of_string payload) ] )
-        | None ->
-          ( "fetch",
-            envelope ?id ~status:"ok"
-              [ ("op", J.Str "fetch"); ("found", J.Bool false) ] ))
-      | Protocol.Put (key, result) ->
-        Cache.store t.cache key (J.to_string ~indent:false result);
-        locked t (fun () -> t.puts <- t.puts + 1);
-        ("put", envelope ?id ~status:"ok" [ ("op", J.Str "put") ])
-      | Protocol.Profile (preq, delta) ->
-        (* Accumulate the observation delta under the program's identity
-           and answer with the bumped epoch — the client's receipt that
-           subsequent VRS answers will (eventually) reflect it. *)
-        let rkey = Protocol.route_key preq in
-        fi.fi_key <- rkey;
-        let epoch = Profile_store.push t.profiles rkey delta in
-        ( "profile",
-          envelope ?id ~status:"ok"
-            [ ("op", J.Str "profile"); ("epoch", J.Int epoch) ] )
-      | Protocol.Analyze req ->
-        fi.fi_trace <- req.Protocol.trace_id;
-        (* Install the wire trace context around the request span: the
-           span then records trace_id/parent_span and reparents the
-           ambient context for everything underneath, and the flow-in
-           event closes the arrow from the caller's flow-out — both ends
-           derive the same id from wire data alone. *)
-        let ctx =
-          match req.Protocol.trace_id with
-          | Some tr when Span.enabled () ->
-            Some
-              { Span.trace = tr;
-                parent = Option.value ~default:0 req.Protocol.parent_span }
-          | _ -> None
-        in
-        let serve () =
-          Span.with_ ~name:"request"
-            ~args:[ ("op", J.Str "analyze") ]
-            (fun () ->
-              (match (ctx, req.Protocol.parent_span) with
-              | Some c, Some parent ->
-                Span.flow_in ~id:(Span.wire_flow_id ~trace:c.Span.trace ~parent)
-              | _ -> ());
-              handle_analyze t ~t0 ~fi req)
-        in
-        ( "analyze",
-          match ctx with
-          | None -> serve ()
-          | Some _ -> Span.with_context ctx serve ))
-  in
-  let dt = Clock.since t0 in
-  Flight.record
-    { Flight.f_id = fi.fi_id;
-      f_trace = fi.fi_trace;
-      f_key = fi.fi_key;
-      f_shard = shard_name t;
-      f_op = op_name;
-      f_queue_ms = fi.fi_queue_ms;
-      f_hedged = false;
-      f_cache = fi.fi_cache;
-      f_outcome = fi.fi_status;
-      f_ms = dt *. 1000.0;
-      f_ts = Unix.gettimeofday () };
+(* The ops the front routes here: analyses, profile pushes and replica
+   puts. *)
+let route t (r : Front.request) =
+  let id = r.Front.id in
+  match r.Front.op with
+  | Protocol.Put (key, result) ->
+    Cache.store t.cache key (J.to_string ~indent:false result);
+    Mutex.protect t.m (fun () -> t.puts <- t.puts + 1);
+    Front.envelope ?id ~status:"ok" [ ("op", J.Str "put") ]
+  | Protocol.Profile (preq, delta) ->
+    (* Accumulate the observation delta under the program's identity
+       and answer with the bumped epoch — the client's receipt that
+       subsequent VRS answers will (eventually) reflect it. *)
+    let rkey = Protocol.route_key preq in
+    r.Front.facts.key <- rkey;
+    let epoch = Profile_store.push t.profiles rkey delta in
+    Front.envelope ?id ~status:"ok"
+      [ ("op", J.Str "profile"); ("epoch", J.Int epoch) ]
+  | Protocol.Analyze req -> (
+    r.Front.facts.trace <- req.Protocol.trace_id;
+    (* Install the wire trace context around the request span: the
+       span then records trace_id/parent_span and reparents the
+       ambient context for everything underneath, and the flow-in
+       event closes the arrow from the caller's flow-out — both ends
+       derive the same id from wire data alone. *)
+    let ctx =
+      match req.Protocol.trace_id with
+      | Some tr when Span.enabled () ->
+        Some
+          { Span.trace = tr;
+            parent = Option.value ~default:0 req.Protocol.parent_span }
+      | _ -> None
+    in
+    let serve () =
+      Span.with_ ~name:"request"
+        ~args:[ ("op", J.Str "analyze") ]
+        (fun () ->
+          (match (ctx, req.Protocol.parent_span) with
+          | Some c, Some parent ->
+            Span.flow_in ~id:(Span.wire_flow_id ~trace:c.Span.trace ~parent)
+          | _ -> ());
+          handle_analyze t r req)
+    in
+    match ctx with None -> serve () | Some _ -> Span.with_context ctx serve)
+  | Protocol.(Ping | Stats | Metrics | Trace | Flight) ->
+    (* answered by the front *)
+    assert false
+
+(* The server's own view of each request line: per-op counters and
+   latency histograms, and a debug log line. *)
+let finish op dt =
   if Metrics.enabled () then begin
-    (match List.assoc_opt op_name m_requests with
-    | Some c -> Metrics.incr c
-    | None -> ());
-    match List.assoc_opt op_name m_latency with
-    | Some h -> Metrics.observe h dt
-    | None -> ()
+    Option.iter Metrics.incr (List.assoc_opt op m_requests);
+    Option.iter (fun h -> Metrics.observe h dt) (List.assoc_opt op m_latency)
   end;
-  Log.debug "request"
-    ~fields:[ ("op", J.Str op_name); ("seconds", J.Float dt) ];
-  response
+  Log.debug "request" ~fields:[ ("op", J.Str op); ("seconds", J.Float dt) ]
+
+let handle_line t line =
+  Front.handle_line t.front
+    ~stats:(fun () -> stats_json t)
+    ~trace:Span.export ~finish (route t) line
 
 (* --- lifecycle ------------------------------------------------------------- *)
 
@@ -626,20 +477,8 @@ let stop t = Net.stop t.listener
 let install_sigint t =
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop t))
 
-(* SIGUSR1 dumps the flight recorder as NDJSON to stderr: the incident
-   tool for "what were the last few thousand requests?" without
-   restarting or reconfiguring anything. *)
-let install_sigusr1 () =
-  try
-    Sys.set_signal Sys.sigusr1
-      (Sys.Signal_handle
-         (fun _ ->
-           Flight.dump stderr;
-           flush stderr))
-  with Invalid_argument _ -> ()
-
 let run t =
-  install_sigusr1 ();
+  Front.install_sigusr1 ();
   Log.info "ogc-serve: listening"
     ~fields:
       [ ("version", J.Str Version.version);
@@ -657,4 +496,4 @@ let run t =
   Log.info "ogc-serve: stopped"
     ~fields:
       [ ("uptime_s", J.Float (Clock.since t.started));
-        ("requests", J.Int (locked t (fun () -> t.requests))) ]
+        ("requests", J.Int (Front.requests t.front)) ]

@@ -3,8 +3,11 @@
     Unix-domain or TCP socket.
 
     Architecture: the calling thread runs the {!Ogc_net.Net} accept
-    loop; every connection gets a systhread that parses request lines
-    and writes one response line per request, in order.  CPU-bound analyses are
+    loop; every connection gets a systhread that reads request lines
+    and writes one response line per request, in order.  Each line goes
+    through the request front ({!Front}, shared with the fleet router),
+    which parses it, answers the local ops and replies exactly once,
+    even when an analysis raises.  CPU-bound analyses are
     submitted to a persistent {!Ogc_exec.Pool} of worker domains behind
     a bounded admission queue — when more than [queue_limit] analyses
     are in flight the server replies [{"status":"overloaded"}] instead
@@ -85,11 +88,6 @@ val stop : t -> unit
 
 val install_sigint : t -> unit
 (** Route SIGINT to {!stop} for a clean drain on Ctrl-C. *)
-
-val install_sigusr1 : unit -> unit
-(** Route SIGUSR1 to an {!Ogc_obs.Flight} NDJSON dump on stderr (no-op
-    where the signal does not exist).  [run] calls this; exposed for the
-    fleet router. *)
 
 val stats_json : t -> Ogc_json.Json.t
 (** The same counters the ["stats"] op reports: requests, cache

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.." || exit 2
 bad=$(git grep --untracked -n 'Unix\.gettimeofday' -- lib bin bench |
   grep -v -E \
     -e '^lib/obs/log\.ml:[0-9]+: *\(\("ts", J\.Float \(Unix\.gettimeofday \(\)\)\)$' \
-    -e '^lib/(server/server|fleet/router)\.ml:[0-9]+: *f_ts = Unix\.gettimeofday \(\)( *\})?;?$' \
+    -e '^lib/server/front\.ml:[0-9]+: *f_ts = Unix\.gettimeofday \(\)( *\})?;?$' \
     -e '^lib/fleet/router\.ml:[0-9]+: *let entropy = Unix\.gettimeofday \(\) in$')
 
 if [ -n "$bad" ]; then

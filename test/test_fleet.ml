@@ -267,6 +267,56 @@ let start_slow_shard delay =
   in
   (path, stop)
 
+(* A fake shard that answers every line at once with an ok reply
+   carrying an empty result, after passing the line to [on_line]. *)
+let start_echo_shard on_line =
+  let path = sock_path () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  if Sys.file_exists path then Unix.unlink path;
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 4;
+  let stopping = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stopping) do
+          match Unix.accept fd with
+          | c, _ ->
+            if Atomic.get stopping then (
+              try Unix.close c with Unix.Unix_error _ -> ())
+            else
+              ignore
+                (Thread.create
+                   (fun () ->
+                     let ic = Unix.in_channel_of_descr c in
+                     let oc = Unix.out_channel_of_descr c in
+                     (try
+                        while true do
+                          on_line (input_line ic);
+                          output_string oc
+                            {|{"version":"echo","status":"ok","result":{}}|};
+                          output_char oc '\n';
+                          flush oc
+                        done
+                      with _ -> ());
+                     try Unix.close c with Unix.Unix_error _ -> ())
+                   ())
+          | exception Unix.Unix_error _ -> ()
+        done)
+      ()
+  in
+  ( path,
+    fun () ->
+      if not (Atomic.exchange stopping true) then begin
+        (let w = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+         (try Unix.connect w (Unix.ADDR_UNIX path)
+          with Unix.Unix_error _ -> ());
+         try Unix.close w with Unix.Unix_error _ -> ());
+        Thread.join th;
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        if Sys.file_exists path then Sys.remove path
+      end )
+
 (* --- router ------------------------------------------------------------------ *)
 
 let test_router_routes_and_caches () =
@@ -403,6 +453,50 @@ let test_router_replicates_hot_keys () =
         end
       in
       poll ())
+
+(* The promoted flag lives in the hit table, so the table's reset at
+   [hits_cap] keys clears it too: a key that turns hot again after the
+   reset is promoted again, and the router keeps no per-key entry
+   forever.  One echo shard answers ok for everything; with a single
+   shard a promotion's replicate finds no replica and ends at once. *)
+let test_router_promotion_table_is_bounded () =
+  let hits_cap = 8192 in
+  let path, stop = start_echo_shard ignore in
+  Fun.protect ~finally:stop @@ fun () ->
+  let rpath = sock_path () in
+  let cfg =
+    { (Router.default_config ~addr:(Net.Unix_sock rpath)
+         ~shards:[ { Router.t_name = "echo"; t_addr = Net.Unix_sock path } ])
+      with
+      replicas = 2;
+      promote_after = 3 }
+  in
+  let r = Router.create cfg in
+  let rth = Thread.create Router.run r in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop r;
+      Thread.join rth;
+      if Sys.file_exists rpath then Sys.remove rpath)
+  @@ fun () ->
+  let send line =
+    if field (Router.handle_line r line) "status" <> "ok" then
+      Alcotest.failf "not ok: %s" line
+  in
+  let promotions () = J.get_int "promotions" (Router.stats_json r) in
+  let hot = analyze_line (src_of 1) in
+  for _ = 1 to cfg.Router.promote_after do
+    send hot
+  done;
+  Alcotest.(check int) "promoted once" 1 (promotions ());
+  for i = 1 to hits_cap do
+    send (analyze_line (Printf.sprintf "int main() { emit(%d); return 0; }" i))
+  done;
+  Alcotest.(check int) "cold keys promote nothing" 1 (promotions ());
+  for _ = 1 to cfg.Router.promote_after do
+    send hot
+  done;
+  Alcotest.(check int) "promoted again after the reset" 2 (promotions ())
 
 (* A put to a stopped replica shard is a failed put: counted per shard
    and logged at warn with the shard name and the error. *)
@@ -669,55 +763,8 @@ let test_untraced_wire_bytes_unchanged () =
   let captured = ref [] in
   let cap_m = Mutex.create () in
   let path, stop =
-    let path = sock_path () in
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    if Sys.file_exists path then Unix.unlink path;
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 4;
-    let stopping = Atomic.make false in
-    let th =
-      Thread.create
-        (fun () ->
-          while not (Atomic.get stopping) do
-            match Unix.accept fd with
-            | c, _ ->
-              if Atomic.get stopping then (
-                try Unix.close c with Unix.Unix_error _ -> ())
-              else
-                ignore
-                  (Thread.create
-                     (fun () ->
-                       let ic = Unix.in_channel_of_descr c in
-                       let oc = Unix.out_channel_of_descr c in
-                       (try
-                          while true do
-                            let l = input_line ic in
-                            Mutex.lock cap_m;
-                            captured := l :: !captured;
-                            Mutex.unlock cap_m;
-                            output_string oc
-                              {|{"version":"echo","status":"ok","result":{}}|};
-                            output_char oc '\n';
-                            flush oc
-                          done
-                        with _ -> ());
-                       try Unix.close c with Unix.Unix_error _ -> ())
-                     ())
-            | exception Unix.Unix_error _ -> ()
-          done)
-        ()
-    in
-    ( path,
-      fun () ->
-        if not (Atomic.exchange stopping true) then begin
-          (let w = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-           (try Unix.connect w (Unix.ADDR_UNIX path)
-            with Unix.Unix_error _ -> ());
-           try Unix.close w with Unix.Unix_error _ -> ());
-          Thread.join th;
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          if Sys.file_exists path then Sys.remove path
-        end )
+    start_echo_shard (fun l ->
+        Mutex.protect cap_m (fun () -> captured := l :: !captured))
   in
   Fun.protect ~finally:stop @@ fun () ->
   let rpath = sock_path () in
@@ -816,6 +863,8 @@ let () =
            test_router_fails_over_dead_shard;
          Alcotest.test_case "replicates hot keys" `Quick
            test_router_replicates_hot_keys;
+         Alcotest.test_case "promotion table is bounded" `Quick
+           test_router_promotion_table_is_bounded;
          Alcotest.test_case "counts and logs failed replica puts" `Quick
            test_router_counts_failed_replica_puts;
          Alcotest.test_case "rejects an oversized line" `Quick

@@ -1,11 +1,15 @@
 (* Optimization-service tests: cache determinism, deadline expiry,
    bounded-queue rejection, the graceful SIGINT drain and the
-   request-line bound — all over a real Unix-domain socket — plus
-   Prog_json round-trip properties (the wire form of programs the
-   service ships). *)
+   request-line bound — all over a real Unix-domain socket — the one
+   request front shared with the fleet router, plus Prog_json round-trip
+   properties (the wire form of programs the service ships). *)
 
 module J = Ogc_json.Json
 module Server = Ogc_server.Server
+module Front = Ogc_server.Front
+module Router = Ogc_fleet.Router
+module Flight = Ogc_obs.Flight
+module Metrics = Ogc_obs.Metrics
 module Net = Ogc_net.Net
 module Cache = Ogc_server.Cache
 module Prog_json = Ogc_ir.Prog_json
@@ -82,6 +86,85 @@ let field resp k =
 let result_bytes resp =
   J.to_string ~indent:false (J.member "result" (J.of_string resp))
 
+(* Collects warn-and-above log lines for the duration of [f]. *)
+let with_warn_lines f =
+  let lines = ref [] and m = Mutex.create () in
+  Ogc_obs.Log.set_level Ogc_obs.Log.Warn;
+  Ogc_obs.Log.set_sink (fun l ->
+      Mutex.protect m (fun () -> lines := l :: !lines));
+  Fun.protect
+    ~finally:(fun () ->
+      Ogc_obs.Log.set_sink prerr_endline;
+      Ogc_obs.Log.set_level Ogc_obs.Log.Error)
+    (fun () -> f (fun () -> Mutex.protect m (fun () -> List.rev !lines)))
+
+(* A metric's merged value: a counter's count, or a histogram's number
+   of observations. *)
+let metric_value name =
+  List.fold_left
+    (fun acc (n, labels, v) ->
+      if n <> name || labels <> [] then acc
+      else
+        match v with
+        | J.Float f -> acc +. f
+        | J.Int i -> acc +. float_of_int i
+        | j -> (
+          match J.member "count" j with
+          | J.Int i -> acc +. float_of_int i
+          | J.Float f -> acc +. f
+          | _ -> acc))
+    0.0 (Metrics.snapshot ())
+
+let with_metrics f =
+  let were = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled were) f
+
+(* A fleet router in front of the in-process server at [path]. *)
+let with_router path f =
+  let rpath = sock_path () in
+  let r =
+    Router.create
+      (Router.default_config ~addr:(Net.Unix_sock rpath)
+         ~shards:[ { Router.t_name = "s0"; t_addr = Net.Unix_sock path } ])
+  in
+  let th = Thread.create Router.run r in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop r;
+      Thread.join th;
+      if Sys.file_exists rpath then Sys.remove rpath)
+    (fun () -> f r)
+
+(* Each line gets byte-identical replies from the server's and the
+   router's [handle_line] — the one front — and leaves exactly one
+   flight record per front, with op ["invalid"], the reply's status as
+   outcome and that front's name as shard. *)
+let check_fronts_agree lines =
+  with_server (fun path t ->
+      with_router path (fun r ->
+          List.iter
+            (fun line ->
+              let via name handle =
+                let before = Flight.total () in
+                let reply = handle line in
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: one flight record for %s" name line)
+                  (before + 1) (Flight.total ());
+                (match List.rev (Flight.snapshot ()) with
+                | fr :: _ ->
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%s: op, outcome, shard of %s" name line)
+                    [ "invalid"; field reply "status"; name ]
+                    [ fr.Flight.f_op; fr.Flight.f_outcome; fr.Flight.f_shard ]
+                | [] -> Alcotest.fail "no flight record");
+                reply
+              in
+              let s = via "serve" (Server.handle_line t) in
+              let rr = via "router" (Router.handle_line r) in
+              Alcotest.(check string) ("same reply bytes for " ^ line) s rr)
+            lines))
+
 (* --- cache ----------------------------------------------------------------- *)
 
 let test_cache_hit_determinism () =
@@ -150,6 +233,110 @@ let test_cache_lru_eviction () =
   Alcotest.(check (option string)) "c present" (Some "3") (Cache.find c "c");
   Alcotest.(check int) "one eviction" 1 (Cache.stats c).Cache.evictions
 
+(* A cache_dir that is a regular file fails every disk write; the
+   analysis is still answered, its repeat hits the memory tier, and the
+   failure is one warn line, not an error reply. *)
+let test_cache_unwritable_disk_tier () =
+  let file = Filename.temp_file "ogc-cache" ".notadir" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  with_warn_lines @@ fun warned ->
+  with_server ~cache_dir:file (fun _ t ->
+      let r1 = Server.handle_line t (analyze_req ()) in
+      Alcotest.(check (list string)) "first answered" [ "ok"; "miss" ]
+        [ field r1 "status"; field r1 "cache" ];
+      let r2 = Server.handle_line t (analyze_req ()) in
+      Alcotest.(check (list string)) "repeat hits memory" [ "ok"; "hit" ]
+        [ field r2 "status"; field r2 "cache" ];
+      let stats = Server.stats_json t in
+      Alcotest.(check int) "no error replies" 0 (J.get_int "errors" stats);
+      Alcotest.(check int) "one analysis" 1 (J.get_int "analyses" stats));
+  match warned () with
+  | [ l ] ->
+    let j = J.of_string l in
+    Alcotest.(check string) "message" "ogc-cache: disk write failed"
+      (J.get_string "msg" j);
+    let path = J.get_string "path" j in
+    Alcotest.(check string) "names the path under cache_dir" file
+      (String.sub path 0 (min (String.length path) (String.length file)))
+  | ls -> Alcotest.failf "want one warn line, got %d" (List.length ls)
+
+(* An entry path that cannot be read (here a directory) is a miss,
+   counted and logged; storing under it keeps the memory entry. *)
+let test_cache_unreadable_entry () =
+  let dir = Filename.temp_dir "ogc-cache" "" in
+  let entry = Filename.concat dir "k.json" in
+  Unix.mkdir entry 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.rmdir entry;
+      Unix.rmdir dir)
+  @@ fun () ->
+  with_metrics @@ fun () ->
+  with_warn_lines @@ fun warned ->
+  let c = Cache.create ~dir () in
+  let before = metric_value "ogc_cache_disk_errors_total" in
+  Alcotest.(check (option string)) "unreadable entry misses" None
+    (Cache.find c "k");
+  Alcotest.(check (float 0.0)) "disk error counted" (before +. 1.0)
+    (metric_value "ogc_cache_disk_errors_total");
+  Cache.store c "k" "v";
+  Alcotest.(check (option string)) "memory entry kept" (Some "v")
+    (Cache.find c "k");
+  Alcotest.(check (list string)) "one warn line"
+    [ "ogc-cache: disk read failed" ]
+    (List.map (fun l -> J.get_string "msg" (J.of_string l)) (warned ()))
+
+(* A write that fails only when the channel is flushed (a full disk:
+   here the temporary file is a link to /dev/full) is a failed write,
+   not a published empty entry, and leaves no temporary file behind. *)
+let test_cache_full_disk_write () =
+  let dir = Filename.temp_dir "ogc-cache" "" in
+  let entry = Filename.concat dir "k.json" in
+  let tmp = entry ^ ".tmp" in
+  Unix.symlink "/dev/full" tmp;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ tmp; entry ];
+      Unix.rmdir dir)
+  @@ fun () ->
+  with_warn_lines @@ fun warned ->
+  let c = Cache.create ~dir () in
+  Cache.store c "k" "v";
+  Alcotest.(check (list string)) "one warn line"
+    [ "ogc-cache: disk write failed" ]
+    (List.map (fun l -> J.get_string "msg" (J.of_string l)) (warned ()));
+  Alcotest.(check bool) "no entry published" false (Sys.file_exists entry);
+  Alcotest.(check bool) "no temporary file left" false
+    (Sys.file_exists tmp);
+  Alcotest.(check (option string)) "memory entry kept" (Some "v")
+    (Cache.find c "k")
+
+(* Whatever a routed handler raises becomes one error reply, counted
+   and flight-recorded. *)
+let test_front_handler_exception () =
+  let front = Front.create ~name:"test" in
+  let before = Flight.total () in
+  let reply =
+    Front.handle_line front
+      ~stats:(fun () -> J.Null)
+      ~trace:(fun () -> J.Null)
+      (fun _ -> failwith "boom")
+      {|{"id":"e1","source":"x"}|}
+  in
+  Alcotest.(check string) "one error reply"
+    (Front.envelope ~id:"e1" ~status:"error" [ ("error", J.Str "boom") ])
+    reply;
+  Alcotest.(check int) "counted" 1 (Front.errors front);
+  Alcotest.(check int) "one flight record" (before + 1) (Flight.total ());
+  match List.rev (Flight.snapshot ()) with
+  | fr :: _ ->
+    Alcotest.(check (list string)) "op, outcome, shard"
+      [ "analyze"; "error"; "test" ]
+      [ fr.Flight.f_op; fr.Flight.f_outcome; fr.Flight.f_shard ]
+  | [] -> Alcotest.fail "no flight record"
+
 let test_per_pass_artifact_reuse () =
   with_server (fun path t ->
       let r1 = request path (analyze_req ~pass:"vrs" ~cost:50 ()) in
@@ -213,6 +400,22 @@ let test_bounded_queue_rejection () =
       Alcotest.(check int) "rejected counted" 1
         (J.get_int "rejected" (Server.stats_json t)))
 
+(* Pool metrics count tasks a pool worker runs, not a map's sequential
+   fallback (which the analysis itself runs three times per VRP). *)
+let test_pool_metrics_count_pool_jobs () =
+  with_metrics @@ fun () ->
+  let jobs () = metric_value "ogc_pool_jobs_total" in
+  let runs () = metric_value "ogc_pool_job_run_seconds" in
+  let j0 = jobs () and r0 = runs () in
+  ignore (Ogc_exec.Pool.map ~jobs:1 succ [ 1; 2; 3 ]);
+  Alcotest.(check (pair (float 0.0) (float 0.0)))
+    "sequential map records nothing" (j0, r0) (jobs (), runs ());
+  with_server (fun _ t ->
+      Alcotest.(check string) "analyze ok" "ok"
+        (field (Server.handle_line t (analyze_req ())) "status"));
+  Alcotest.(check (pair (float 0.0) (float 0.0)))
+    "one analyze is one pool job" (j0 +. 1.0, r0 +. 1.0) (jobs (), runs ())
+
 let test_malformed_requests () =
   with_server (fun path _ ->
       Alcotest.(check string) "bad json" "error"
@@ -227,7 +430,19 @@ let test_malformed_requests () =
         (field (request path {|{"source":"int main( {"}|}) "status");
       (* id is echoed even on errors *)
       let r = request path {|{"id":"req-7","pass":"bogus","source":"x"}|} in
-      Alcotest.(check string) "id echoed" "req-7" (field r "id"))
+      Alcotest.(check string) "id echoed" "req-7" (field r "id"));
+  check_fronts_agree
+    [ "{nope";
+      "{}";
+      {|{"source":"int main(){return 0;}","workload":"compress"}|};
+      {|{"op":7}|};
+      {|{"id":"x","op":"fetch","key":"00000000000000000000000000000000"}|};
+      {|{"id":"req-7","pass":"bogus","source":"x"}|};
+      {|{"source":"x","cost":"high"}|};
+      {|{"source":"x","deadline_ms":1.5}|};
+      {|{"op":"put","key":"nothex"}|};
+      {|{"op":"profile","source":"x"}|};
+      {|{"op":"profile","source":"x","profile":{"bb":7}}|} ]
 
 (* --- flight records --------------------------------------------------------- *)
 
@@ -274,7 +489,12 @@ let test_protocol_version () =
       Alcotest.(check string) "id echoed" "v9" (field r "id");
       (* A non-integer proto is a plain parse error. *)
       Alcotest.(check string) "garbage proto" "error"
-        (field (request path {|{"proto":"x","op":"ping"}|}) "status"))
+        (field (request path {|{"proto":"x","op":"ping"}|}) "status"));
+  check_fronts_agree
+    [ {|{"proto":99,"op":"ping"}|};
+      {|{"proto":999,"id":"v9","op":"ping"}|};
+      {|{"proto":99,"source":"x"}|};
+      {|{"proto":"x","op":"ping"}|} ]
 
 (* --- shard namespacing ------------------------------------------------------ *)
 
@@ -540,15 +760,7 @@ let test_sigint_drains () =
    answered makes the reply write fail; the server must say so at warn
    level instead of dropping the connection silently. *)
 let test_dropped_connection_logged () =
-  let lines = ref [] and m = Mutex.create () in
-  Ogc_obs.Log.set_level Ogc_obs.Log.Warn;
-  Ogc_obs.Log.set_sink (fun l ->
-      Mutex.protect m (fun () -> lines := l :: !lines));
-  Fun.protect
-    ~finally:(fun () ->
-      Ogc_obs.Log.set_sink prerr_endline;
-      Ogc_obs.Log.set_level Ogc_obs.Log.Error)
-  @@ fun () ->
+  with_warn_lines @@ fun warned ->
   let path = sock_path () in
   let t =
     Server.create
@@ -568,12 +780,10 @@ let test_dropped_connection_logged () =
   ignore (Unix.write_substring fd line 0 (String.length line));
   Unix.close fd;
   let dropped () =
-    Mutex.protect m (fun () ->
-        List.find_opt
-          (fun l ->
-            J.member "msg" (J.of_string l)
-            = J.Str "ogc-serve: connection dropped")
-          !lines)
+    List.find_opt
+      (fun l ->
+        J.member "msg" (J.of_string l) = J.Str "ogc-serve: connection dropped")
+      (warned ())
   in
   let deadline = Unix.gettimeofday () +. 10.0 in
   while dropped () = None && Unix.gettimeofday () < deadline do
@@ -647,15 +857,7 @@ let oversized_exchange path =
   (reply, match input_line ic with _ -> false | exception End_of_file -> true)
 
 let test_oversized_line () =
-  let lines = ref [] and m = Mutex.create () in
-  Ogc_obs.Log.set_level Ogc_obs.Log.Warn;
-  Ogc_obs.Log.set_sink (fun l ->
-      Mutex.protect m (fun () -> lines := l :: !lines));
-  Fun.protect
-    ~finally:(fun () ->
-      Ogc_obs.Log.set_sink prerr_endline;
-      Ogc_obs.Log.set_level Ogc_obs.Log.Error)
-  @@ fun () ->
+  with_warn_lines @@ fun warned ->
   with_server (fun path _ ->
       let reply, eof = oversized_exchange path in
       Alcotest.(check string) "status" "error" (field reply "status");
@@ -665,15 +867,13 @@ let test_oversized_line () =
       Alcotest.(check bool) "connection closed after the reply" true eof;
       Alcotest.(check string) "a fresh connection is served" "ok"
         (field (request path {|{"op":"ping"}|}) "status");
-      let warned =
-        Mutex.protect m (fun () ->
-            List.find_opt
-              (fun l ->
-                J.member "msg" (J.of_string l)
-                = J.Str "ogc-serve: request line too long")
-              !lines)
-      in
-      match warned with
+      match
+        List.find_opt
+          (fun l ->
+            J.member "msg" (J.of_string l)
+            = J.Str "ogc-serve: request line too long")
+          (warned ())
+      with
       | None -> Alcotest.fail "no warn line for the oversized request"
       | Some l ->
         Alcotest.(check string) "listener address" path
@@ -725,6 +925,12 @@ let () =
          Alcotest.test_case "disk persistence" `Quick
            test_cache_disk_persistence;
          Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
+         Alcotest.test_case "unwritable disk tier" `Quick
+           test_cache_unwritable_disk_tier;
+         Alcotest.test_case "unreadable disk entry" `Quick
+           test_cache_unreadable_entry;
+         Alcotest.test_case "full-disk write publishes nothing" `Quick
+           test_cache_full_disk_write;
          Alcotest.test_case "per-pass artifact reuse" `Quick
            test_per_pass_artifact_reuse ]);
       ("scheduler",
@@ -732,7 +938,11 @@ let () =
          Alcotest.test_case "bounded-queue rejection" `Quick
            test_bounded_queue_rejection;
          Alcotest.test_case "malformed requests" `Quick
-           test_malformed_requests ]);
+           test_malformed_requests;
+         Alcotest.test_case "pool metrics count only pool jobs" `Quick
+           test_pool_metrics_count_pool_jobs;
+         Alcotest.test_case "handler exception is one error reply" `Quick
+           test_front_handler_exception ]);
       ("flight",
        [ Alcotest.test_case "record stamped at completion" `Quick
            test_flight_ts_at_completion ]);
