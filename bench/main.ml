@@ -120,7 +120,6 @@ let run_fleet_bench () =
         let t = Server.create cfg in
         (Printf.sprintf "s%d" i, path, t, Thread.create Server.run t))
   in
-  Server.link_stores (List.map (fun (_, _, t, _) -> t) shards);
   let rpath = sock 99 in
   if Sys.file_exists rpath then Sys.remove rpath;
   let targets =
@@ -321,7 +320,7 @@ let () = if opts.skip_ablations then () else begin
         let dflt = run (Some Vrp.default_config) in
         let wide64 s =
           Ogc_harness.Render.pct
-            (List.assoc Ogc_isa.Width.W64 (Ogc_harness.Results.width_distribution s))
+            (List.assoc Ogc_isa.Width.W64 (Pipeline.width_distribution s))
         in
         let saving s =
           Ogc_harness.Render.pct

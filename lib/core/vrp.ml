@@ -3,6 +3,7 @@ open Ogc_ir
 module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
 module Pool = Ogc_exec.Pool
+module Lru = Ogc_exec.Lru
 
 (* Pass telemetry: fixpoint effort, pass wall time and the width mix the
    re-encoder actually commits — the static face of the paper's Table 1.
@@ -1084,9 +1085,7 @@ module Fn_cache = struct
 
   type t = {
     m : Mutex.t;
-    capacity : int;
-    entries : (string, fragment) Hashtbl.t;
-    order : string Queue.t;  (* insertion order: FIFO eviction *)
+    entries : (string, fragment) Lru.t;
     mutable hits : int;
     mutable runs : int;
   }
@@ -1094,16 +1093,14 @@ module Fn_cache = struct
   let create ?(capacity = 4096) () =
     {
       m = Mutex.create ();
-      capacity = max capacity 1;
-      entries = Hashtbl.create 256;
-      order = Queue.create ();
+      entries = Lru.create capacity;
       hits = 0;
       runs = 0;
     }
 
   let find t key =
     Mutex.protect t.m (fun () ->
-        match Hashtbl.find_opt t.entries key with
+        match Lru.find t.entries key with
         | Some fr ->
           t.hits <- t.hits + 1;
           Metrics.incr m_hit;
@@ -1115,18 +1112,13 @@ module Fn_cache = struct
 
   let install t key fr =
     Mutex.protect t.m (fun () ->
-        if not (Hashtbl.mem t.entries key) then begin
-          while Hashtbl.length t.entries >= t.capacity do
-            match Queue.take_opt t.order with
-            | Some old -> Hashtbl.remove t.entries old
-            | None -> Hashtbl.reset t.entries
-          done;
-          Hashtbl.replace t.entries key fr;
-          Queue.add key t.order
-        end)
+        if not (Lru.mem t.entries key) then
+          ignore (Lru.add t.entries key fr))
 
   (* (hits, runs): fragment replays vs. live final passes since create. *)
   let stats t = Mutex.protect t.m (fun () -> (t.hits, t.runs))
+
+  let evictions t = Mutex.protect t.m (fun () -> Lru.evictions t.entries)
 end
 
 (* Digest of everything the function's recorded pass can observe.  The

@@ -95,8 +95,9 @@ type fixpoint_stats = { visits : int; rounds : int }
     causes, and a changed or re-profiled function re-runs alone.  The
     interprocedural summary rounds always run (they are whole-program
     and feed the digests).  Results with and without a cache are
-    bit-identical, [fixpoint_stats] included.  Thread-safe; bounded
-    (FIFO eviction). *)
+    bit-identical, [fixpoint_stats] included.  Thread-safe; bounded,
+    with exact LRU eviction ({!Ogc_exec.Lru}): a replayed fragment is
+    the most recently used. *)
 module Fn_cache : sig
   type t
 
@@ -106,6 +107,9 @@ module Fn_cache : sig
   val stats : t -> int * int
   (** [(hits, runs)]: fragment replays vs. live per-function final
       passes since {!create}. *)
+
+  val evictions : t -> int
+  (** Fragments evicted since {!create}. *)
 end
 
 (** [analyze ?config ?engine ?jobs ?fn_cache prog] runs the analysis;

@@ -71,6 +71,26 @@ let ipc s =
   if s.cycles = 0 then 0.0
   else float_of_int s.instructions /. float_of_int s.cycles
 
+let width_classes = Instr.all_alu_classes @ [ Instr.C_move ]
+
+let width_distribution s =
+  let totals = Hashtbl.create 4 in
+  let grand = ref 0 in
+  Hashtbl.iter
+    (fun (ic, w) n ->
+      if List.mem ic width_classes then begin
+        Hashtbl.replace totals w
+          (n + Option.value ~default:0 (Hashtbl.find_opt totals w));
+        grand := !grand + n
+      end)
+    s.class_width;
+  List.map
+    (fun w ->
+      ( w,
+        float_of_int (Option.value ~default:0 (Hashtbl.find_opt totals w))
+        /. float_of_int (max 1 !grand) ))
+    Width.all
+
 let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
     ?(interp_config = Interp.default_config) ?(memory_mode = Tagged)
     ?(spill_bytes_of = fun _ -> None) ~policy (p : Prog.t) =

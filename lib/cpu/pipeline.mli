@@ -68,3 +68,8 @@ val simulate :
 
 (** [ipc stats] = instructions / cycles. *)
 val ipc : stats -> float
+
+(** Distribution of committed width-bearing instructions (the ten Table 3
+    ALU classes plus immediate moves) over the four widths; fractions sum
+    to 1. *)
+val width_distribution : stats -> (Width.t * float) list

@@ -7,6 +7,7 @@ module Log = Ogc_obs.Log
 module Span = Ogc_obs.Span
 module Clock = Ogc_obs.Clock
 module Net = Ogc_net.Net
+module Lru = Ogc_exec.Lru
 
 type target = { t_name : string; t_addr : Net.addr }
 
@@ -148,8 +149,8 @@ type t = {
   mutable failovers : int;
   mutable unavailable : int;
   mutable promotions : int;
-  hits : (string, int * bool) Hashtbl.t;
-      (* result key -> (request count, promoted) *)
+  hits : (string, int * bool) Lru.t;
+      (* result key -> (request count, promoted), 8192 keys at most *)
   mutable hedge_threshold : float;  (* seconds *)
 }
 
@@ -204,23 +205,23 @@ let create cfg =
     failovers = 0;
     unavailable = 0;
     promotions = 0;
-    hits = Hashtbl.create 256;
-    hedge_threshold = 0.025 }
+    hits = Lru.create 8192;
+    hedge_threshold =
+      Option.fold ~none:0.025 ~some:(fun ms -> ms /. 1000.0) cfg.hedge_ms }
 
 (* --- adaptive hedge threshold ---------------------------------------------- *)
 
 (* Hedge at ~2x a recent p95 of the front's latency window: rare
    stragglers trigger a second copy, the common case never pays for
    one.  Clamped so a pathological window can neither hedge every
-   request nor disable hedging. *)
+   request nor disable hedging.  A pinned [hedge_ms] is set once, in
+   [create], and holds from the first request. *)
 let recompute_threshold t =
-  t.hedge_threshold <-
-    (match t.cfg.hedge_ms with
-    | Some ms -> ms /. 1000.0
-    | None ->
-      let p95_s = Front.percentile_ms t.front 0.95 /. 1000.0 in
-      let budget = float_of_int t.cfg.request_timeout_ms /. 1000.0 in
-      Float.min (budget /. 4.0) (Float.max 0.002 (2.0 *. p95_s)))
+  if t.cfg.hedge_ms = None then
+    let p95_s = Front.percentile_ms t.front 0.95 /. 1000.0 in
+    let budget = float_of_int t.cfg.request_timeout_ms /. 1000.0 in
+    t.hedge_threshold <-
+      Float.min (budget /. 4.0) (Float.max 0.002 (2.0 *. p95_s))
 
 (* --- candidate selection --------------------------------------------------- *)
 
@@ -414,18 +415,15 @@ let forward t (r : Front.request) ~hedge ?traced cands =
 
 (* --- hot-key promotion ----------------------------------------------------- *)
 
-let hits_cap = 8192
-
 (* The key's request count, this request included, and whether it is
-   promoted.  The table is reset at [hits_cap] keys, promoted flags
-   included, so a key that stays hot is promoted again. *)
+   promoted.  A key evicted from [hits] loses its promoted flag with its
+   count, so if it turns hot again it is promoted again. *)
 let bump_hits t key =
   Mutex.protect t.m (fun () ->
-      if Hashtbl.length t.hits >= hits_cap then Hashtbl.reset t.hits;
       let n, promoted =
-        Option.value ~default:(0, false) (Hashtbl.find_opt t.hits key)
+        Option.value ~default:(0, false) (Lru.find t.hits key)
       in
-      Hashtbl.replace t.hits key (n + 1, promoted);
+      ignore (Lru.add t.hits key (n + 1, promoted));
       (n + 1, promoted))
 
 (* Push a hot result to the replica shards, off the request path.  A
@@ -478,9 +476,9 @@ let maybe_promote t ckey rkey ~hits ~promoted resp =
       | J.Str "ok", (J.Obj _ as result) ->
         let claimed =
           Mutex.protect t.m (fun () ->
-              match Hashtbl.find_opt t.hits ckey with
+              match Lru.find t.hits ckey with
               | Some (n, false) ->
-                Hashtbl.replace t.hits ckey (n, true);
+                ignore (Lru.add t.hits ckey (n, true));
                 t.promotions <- t.promotions + 1;
                 true
               | _ -> false)
@@ -564,6 +562,7 @@ let stats_json t =
           ("errors", J.Int errors);
           ("unavailable", J.Int t.unavailable);
           ("promotions", J.Int t.promotions);
+          ("hot_key_evictions", J.Int (Lru.evictions t.hits));
           ("hedge_threshold_ms", J.Float (t.hedge_threshold *. 1000.0));
           ("latency_ms", latency);
           ("shards",

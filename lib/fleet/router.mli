@@ -21,7 +21,8 @@
     first response wins (the straggler still completes and returns its
     connection, keeping the NDJSON stream in sync).  The threshold
     adapts to the observed latency distribution (roughly 2x a recent
-    p95, recomputed continuously) or is pinned with [hedge_ms].
+    p95, recomputed continuously) or is pinned with [hedge_ms], which
+    holds from the first request.
     Resent analyses are idempotent — both shards compute the same
     content-addressed result — so hedging is always safe.
 
@@ -30,10 +31,13 @@
     successor, through the whole fleet if necessary; only when every
     shard has failed does the client see [{"status":"unavailable"}].
 
-    {b Replication.}  The router counts hits per result key; when a key
-    reaches [promote_after] hits it is promoted: its result payload is
-    pushed ([put]) to the next [replicas - 1] ring successors, and
-    subsequent requests for the hot key rotate across the replica set.
+    {b Replication.}  The router counts hits per result key, for the
+    8192 most recently requested keys (an exact LRU, {!Ogc_exec.Lru}:
+    an evicted key starts again from zero and loses its promotion).
+    When a key reaches [promote_after] hits it is promoted: its result
+    payload is pushed ([put]) to the next [replicas - 1] ring
+    successors, and subsequent requests for the hot key rotate across
+    the replica set.
     A hedged or failed-over request for a promoted key is then a result
     cache hit on the replica instead of a recompute.  A put that fails
     is logged at warn with the shard and the error, and counted in
@@ -97,5 +101,6 @@ val handle_line : t -> string -> string
 
 val stats_json : t -> Ogc_json.Json.t
 (** Routing counters (requests, hedges and hedge wins, failovers,
-    promotions, unavailable replies), the current hedge threshold,
-    client-observed latency percentiles, and per-shard health. *)
+    promotions, unavailable replies), hot-key table evictions, the
+    current hedge threshold, client-observed latency percentiles, and
+    per-shard health. *)

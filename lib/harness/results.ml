@@ -795,28 +795,10 @@ let baseline_gate path =
 
 (* --- aggregation ---------------------------------------------------------- *)
 
-let width_classes =
-  Instr.all_alu_classes @ [ Instr.C_move ]
-
-let width_distribution (s : Pipeline.stats) =
-  let totals = Hashtbl.create 4 in
-  let grand = ref 0 in
-  Hashtbl.iter
-    (fun (ic, w) n ->
-      if List.mem ic width_classes then begin
-        Hashtbl.replace totals w (n + Option.value ~default:0 (Hashtbl.find_opt totals w));
-        grand := !grand + n
-      end)
-    s.class_width;
-  List.map
-    (fun w ->
-      ( w,
-        float_of_int (Option.value ~default:0 (Hashtbl.find_opt totals w))
-        /. float_of_int (max 1 !grand) ))
-    Width.all
-
 let average_distribution t select =
-  let dists = List.map (fun w -> width_distribution (select w)) t.workloads in
+  let dists =
+    List.map (fun w -> Pipeline.width_distribution (select w)) t.workloads
+  in
   let n = float_of_int (max 1 (List.length dists)) in
   List.map
     (fun w ->

@@ -252,11 +252,6 @@ val baseline_gate : string -> t -> unit
 
 (** {1 Aggregation helpers} *)
 
-(** Distribution of committed width-bearing instructions (the ten Table 3
-    ALU classes plus immediate moves) over the four widths; fractions sum
-    to 1. *)
-val width_distribution : Pipeline.stats -> (Width.t * float) list
-
 (** Average of distributions across workloads. *)
 val average_distribution :
   t -> (wres -> Pipeline.stats) -> (Width.t * float) list

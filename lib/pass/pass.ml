@@ -8,6 +8,7 @@ module Constprop = Ogc_core.Constprop
 module J = Ogc_json.Json
 module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
+module Lru = Ogc_exec.Lru
 
 (* --- pipeline state ------------------------------------------------------- *)
 
@@ -369,21 +370,12 @@ let chain_key inst prev =
 (* --- the artifact store --------------------------------------------------- *)
 
 module Store = struct
-  type slot = { s_state : state; mutable s_last : int }
-
-  type per_pass = {
-    mutable hits : int;
-    mutable misses : int;
-    mutable replica : int;
-  }
+  type per_pass = { mutable hits : int; mutable misses : int }
 
   type t = {
-    capacity : int;
     m : Mutex.t;
-    tbl : (string, slot) Hashtbl.t;
+    snapshots : (string, state) Lru.t;
     by_pass : (string, per_pass) Hashtbl.t;
-    mutable tick : int;
-    mutable fallback : (pass:string -> string -> state option) option;
     (* Cross-run per-function VRP memo, shared by every chain that runs
        against this store: an epoch bump re-addresses the downstream
        artifacts, but unchanged functions still replay their fragments
@@ -393,107 +385,46 @@ module Store = struct
 
   let create ?(capacity = 64) () =
     {
-      capacity = max 1 capacity;
       m = Mutex.create ();
-      tbl = Hashtbl.create 64;
+      snapshots = Lru.create capacity;
       by_pass = Hashtbl.create 8;
-      tick = 0;
-      fallback = None;
       fn_cache = Vrp.Fn_cache.create ();
     }
 
   let fn_cache t = t.fn_cache
 
-  let set_fallback t f = Mutex.protect t.m (fun () -> t.fallback <- Some f)
-
   let counters t pass =
     match Hashtbl.find_opt t.by_pass pass with
     | Some c -> c
     | None ->
-      let c = { hits = 0; misses = 0; replica = 0 } in
+      let c = { hits = 0; misses = 0 } in
       Hashtbl.replace t.by_pass pass c;
       c
 
-  let peek t ~pass:_ key =
-    Mutex.protect t.m (fun () ->
-        Option.map
-          (fun slot -> snapshot slot.s_state)
-          (Hashtbl.find_opt t.tbl key))
-
-  let find_local t ~pass key =
+  let find t ~pass key =
     Mutex.protect t.m (fun () ->
         let c = counters t pass in
-        match Hashtbl.find_opt t.tbl key with
-        | Some slot ->
-          t.tick <- t.tick + 1;
-          slot.s_last <- t.tick;
+        match Lru.find t.snapshots key with
+        | Some st ->
           c.hits <- c.hits + 1;
-          Some (snapshot slot.s_state)
+          Some (snapshot st)
         | None ->
           c.misses <- c.misses + 1;
           None)
 
-  (* Grabbed under the lock so a concurrent [set_fallback] can't tear
-     the read; the fallback itself runs outside the lock because it may
-     call [peek] on a sibling store. *)
-  let fallback_of t = Mutex.protect t.m (fun () -> t.fallback)
-
-  (* Caller must hold [t.m]. *)
-  let insert_locked t key st =
-    if not (Hashtbl.mem t.tbl key) then begin
-      if Hashtbl.length t.tbl >= t.capacity then begin
-        (* Evict the least recently used snapshot (linear scan; the
-           store holds at most [capacity] entries). *)
-        let victim =
-          Hashtbl.fold
-            (fun k slot acc ->
-              match acc with
-              | Some (_, last) when last <= slot.s_last -> acc
-              | _ -> Some (k, slot.s_last))
-            t.tbl None
-        in
-        match victim with
-        | Some (k, _) -> Hashtbl.remove t.tbl k
-        | None -> ()
-      end;
-      t.tick <- t.tick + 1;
-      Hashtbl.replace t.tbl key { s_state = snapshot st; s_last = t.tick }
-    end
-
-  let install t ~pass key st =
-    Mutex.protect t.m (fun () ->
-        let c = counters t pass in
-        c.replica <- c.replica + 1;
-        insert_locked t key st)
-
-  let find t ~pass key =
-    match find_local t ~pass key with
-    | Some _ as hit -> hit
-    | None -> (
-      match fallback_of t with
-      | None -> None
-      | Some f -> (
-        match f ~pass key with
-        | None -> None
-        | Some st ->
-          install t ~pass key st;
-          Some st))
-
   let store t ~pass:_ key st =
-    Mutex.protect t.m (fun () -> insert_locked t key st)
+    Mutex.protect t.m (fun () ->
+        if not (Lru.mem t.snapshots key) then
+          ignore (Lru.add t.snapshots key (snapshot st)))
 
-  let entries t = Mutex.protect t.m (fun () -> Hashtbl.length t.tbl)
+  let entries t = Mutex.protect t.m (fun () -> Lru.length t.snapshots)
+
+  let evictions t = Mutex.protect t.m (fun () -> Lru.evictions t.snapshots)
 
   let pass_stats t =
     Mutex.protect t.m (fun () ->
         Hashtbl.fold (fun n c acc -> (n, c.hits, c.misses) :: acc) t.by_pass []
         |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b))
-
-  let replica_stats t =
-    Mutex.protect t.m (fun () ->
-        Hashtbl.fold (fun n c acc -> (n, c.replica) :: acc) t.by_pass []
-        |> List.filter (fun (_, r) -> r > 0)
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 end
 
 (* --- telemetry ------------------------------------------------------------ *)

@@ -102,8 +102,9 @@ val chain_key : instance -> string -> string
 (** [chain_key inst prev] = the address of the artifact [inst] produces
     from the artifact at [prev]. *)
 
-(** Bounded, thread-safe LRU store of pipeline-state snapshots, keyed by
-    {!chain_key} addresses.  Stored states and served hits are private
+(** Bounded, thread-safe store of pipeline-state snapshots, keyed by
+    {!chain_key} addresses and evicting through an exact LRU
+    ({!Ogc_exec.Lru}).  Stored states and served hits are private
     copies; analysis facts are shared read-only. *)
 module Store : sig
   type t
@@ -113,27 +114,17 @@ module Store : sig
 
   val find : t -> pass:string -> string -> state option
   (** A private copy of the snapshot at this address, if present;
-      updates recency and the per-pass hit/miss counters.  On a local
-      miss the fallback (if any) is consulted; a fallback hit is
-      installed locally and counted under the per-pass replica counter
-      rather than as a hit. *)
-
-  val peek : t -> pass:string -> string -> state option
-  (** Local-only lookup: no fallback, no recency update, no counters.
-      This is what fallbacks themselves should use on sibling stores, so
-      replica consultation can never recurse. *)
-
-  val set_fallback : t -> (pass:string -> string -> state option) -> unit
-  (** Attach a second-level lookup consulted on local misses (e.g. the
-      {!peek}s of co-located shard stores).  The fallback runs outside
-      the store lock and must not call {!find} or {!store} on this
-      store. *)
+      updates recency and the per-pass hit/miss counters. *)
 
   val store : t -> pass:string -> string -> state -> unit
   (** Idempotent: re-storing an existing address keeps the first
-      snapshot. *)
+      snapshot and its recency.  A store into a full store evicts the
+      least recently used snapshot. *)
 
   val entries : t -> int
+
+  val evictions : t -> int
+  (** Snapshots evicted since {!create}. *)
 
   val fn_cache : t -> Ogc_core.Vrp.Fn_cache.t
   (** The store's cross-run per-function VRP cache, threaded into every
@@ -141,10 +132,6 @@ module Store : sig
 
   val pass_stats : t -> (string * int * int) list
   (** Per pass name (sorted): store hits and misses since creation. *)
-
-  val replica_stats : t -> (string * int) list
-  (** Per pass name (sorted): artifacts served via the fallback rather
-      than locally.  Passes with zero replica hits are omitted. *)
 end
 
 (** What {!run_chain} did for one chain element. *)

@@ -185,6 +185,7 @@ exception Malformed of string
 let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
 let of_json j =
+  (match j with J.Obj _ -> () | _ -> fail "expected an object");
   let t = create () in
   (match J.member "epoch" j with
   | J.Int e when e >= 0 -> t.p_epoch <- e

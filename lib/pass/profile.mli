@@ -48,5 +48,5 @@ val to_json : t -> J.t
 exception Malformed of string
 
 val of_json : J.t -> t
-(** Raises {!Malformed} on a shape violation (message names the
-    offending member). *)
+(** Raises {!Malformed} on a shape violation: a value that is not an
+    object, or a member of the wrong shape (the message names it). *)

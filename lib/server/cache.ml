@@ -1,10 +1,10 @@
 (* Content-addressed analysis cache: MD5 of the canonical request ->
-   serialized result payload.  Exact LRU: every hit restamps its entry
-   with a monotonic tick, and eviction removes the minimum stamp (an
-   O(capacity) scan — capacities are a few hundred entries, and each
-   miss it amortizes costs a full compile + analysis + simulation). *)
+   serialized result payload.  The memory tier is an exact LRU
+   ({!Ogc_exec.Lru}): every hit refreshes its entry, and a store into a
+   full tier evicts the least recently used one. *)
 
 module J = Ogc_json.Json
+module Lru = Ogc_exec.Lru
 module Metrics = Ogc_obs.Metrics
 module Log = Ogc_obs.Log
 
@@ -32,17 +32,12 @@ type stats = {
   disk_bytes : int;
 }
 
-type entry = { value : string; mutable stamp : int }
-
 type t = {
-  capacity : int;
   dir : string option;
-  tbl : (string, entry) Hashtbl.t;
+  mem : (string, string) Lru.t;
   m : Mutex.t;
-  mutable tick : int;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
   mutable disk_hits : int;
   mutable mem_bytes : int;  (* Σ String.length over in-memory values *)
 }
@@ -53,14 +48,11 @@ let create ?(capacity = 256) ?dir () =
   (match dir with
   | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
   | _ -> ());
-  { capacity = max 1 capacity;
-    dir;
-    tbl = Hashtbl.create 64;
+  { dir;
+    mem = Lru.create capacity;
     m = Mutex.create ();
-    tick = 0;
     hits = 0;
     misses = 0;
-    evictions = 0;
     disk_hits = 0;
     mem_bytes = 0 }
 
@@ -108,41 +100,24 @@ let read_disk t key =
       None)
 
 let insert_locked t key value =
-  if not (Hashtbl.mem t.tbl key) then begin
-    if Hashtbl.length t.tbl >= t.capacity then begin
-      let victim = ref None in
-      Hashtbl.iter
-        (fun k e ->
-          match !victim with
-          | Some (_, s) when s <= e.stamp -> ()
-          | _ -> victim := Some (k, e.stamp))
-        t.tbl;
-      match !victim with
-      | Some (k, _) ->
-        (match Hashtbl.find_opt t.tbl k with
-        | Some e -> t.mem_bytes <- t.mem_bytes - String.length e.value
-        | None -> ());
-        Hashtbl.remove t.tbl k;
-        t.evictions <- t.evictions + 1;
-        Metrics.incr m_evictions
-      | None -> ()
-    end;
-    t.tick <- t.tick + 1;
-    Hashtbl.add t.tbl key { value; stamp = t.tick };
+  if not (Lru.mem t.mem key) then begin
+    (match Lru.add t.mem key value with
+    | Some (_, old) ->
+      t.mem_bytes <- t.mem_bytes - String.length old;
+      Metrics.incr m_evictions
+    | None -> ());
     t.mem_bytes <- t.mem_bytes + String.length value;
-    Metrics.gauge_set m_entries (Hashtbl.length t.tbl);
+    Metrics.gauge_set m_entries (Lru.length t.mem);
     Metrics.gauge_set m_bytes t.mem_bytes
   end
 
 let find t key =
   Mutex.protect t.m (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e ->
-        t.tick <- t.tick + 1;
-        e.stamp <- t.tick;
+      match Lru.find t.mem key with
+      | Some value ->
         t.hits <- t.hits + 1;
         Metrics.incr m_hits_mem;
-        Some e.value
+        Some value
       | None -> (
         match read_disk t key with
         | Some value ->
@@ -189,11 +164,11 @@ let disk_usage t =
 let stats t =
   let disk_entries, disk_bytes = disk_usage t in
   Mutex.protect t.m (fun () ->
-      { entries = Hashtbl.length t.tbl;
-        capacity = t.capacity;
+      { entries = Lru.length t.mem;
+        capacity = Lru.capacity t.mem;
         hits = t.hits;
         misses = t.misses;
-        evictions = t.evictions;
+        evictions = Lru.evictions t.mem;
         disk_hits = t.disk_hits;
         mem_bytes = t.mem_bytes;
         disk_entries;

@@ -5,7 +5,9 @@
     the serialized result payloads, byte-identical on every hit.  Two
     tiers:
 
-    - an in-memory exact-LRU table bounded by [capacity];
+    - an in-memory tier bounded by [capacity], an exact LRU
+      ({!Ogc_exec.Lru}): a hit refreshes its entry, and a store into a
+      full tier evicts the least recently used entry;
     - optionally, one file per entry under [dir] ([<digest>.json],
       written atomically via rename), so a restarted server — or another
       server sharing the directory — rehydrates results it has never

@@ -4,7 +4,6 @@ module Workload = Ogc_workloads.Workload
 module Policy = Ogc_gating.Policy
 module Pipeline = Ogc_cpu.Pipeline
 module Account = Ogc_energy.Account
-module Results = Ogc_harness.Results
 module Span = Ogc_obs.Span
 module Pass = Ogc_pass.Pass
 
@@ -324,7 +323,7 @@ let static_widths p =
 let dynamic_widths stats =
   List.map
     (fun (w, frac) -> (Ogc_isa.Width.to_string w, J.Float frac))
-    (Results.width_distribution stats)
+    (Pipeline.width_distribution stats)
 
 let analyze ?store ?wire req =
   (* The spans must never influence the payload: with tracing on or off,

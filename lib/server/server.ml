@@ -6,6 +6,8 @@ module Log = Ogc_obs.Log
 module Flight = Ogc_obs.Flight
 module Clock = Ogc_obs.Clock
 module Net = Ogc_net.Net
+module Lru = Ogc_exec.Lru
+module Store = Ogc_pass.Pass.Store
 
 exception Deadline_exceeded
 
@@ -56,7 +58,7 @@ type t = {
   front : Front.t;
   pool : Pool.t;
   cache : Cache.t;
-  passes : Ogc_pass.Pass.Store.t;
+  passes : Store.t;
       (* per-pass artifact tier under the whole-result cache: a request
          that misses [cache] still reuses the chain-prefix artifacts
          (VRP fixpoint, training profiles) computed by earlier requests *)
@@ -65,10 +67,12 @@ type t = {
   pending : int Atomic.t;  (* analyses queued or running *)
   started : float;
   m : Mutex.t;  (* guards the mutable fields below *)
-  served : (string, int * string) Hashtbl.t;
+  served : (string, int * string) Lru.t;
       (* epoch-free cache key -> (epoch, epoch-salted key) of the newest
          artifact computed for that request shape: where the
-         stale-while-revalidate path finds the previous-epoch answer *)
+         stale-while-revalidate path finds the previous-epoch answer.
+         Advisory (a dropped entry just misses the stale path), bounded
+         at 4 x cache_capacity. *)
   respec_inflight : (string, unit) Hashtbl.t;
       (* epoch-salted keys with a background re-specialization queued or
          running — dedup so a burst of stale hits schedules one *)
@@ -104,12 +108,12 @@ let create cfg =
     front = Front.create ~name;
     pool = Pool.create ?jobs:cfg.jobs ();
     cache = Cache.create ~capacity:cfg.cache_capacity ?dir:cache_dir ();
-    passes = Ogc_pass.Pass.Store.create ~capacity:cfg.cache_capacity ();
+    passes = Store.create ~capacity:cfg.cache_capacity ();
     profiles = Profile_store.create ~capacity:cfg.cache_capacity ();
     pending = Atomic.make 0;
     started = Clock.now ();
     m = Mutex.create ();
-    served = Hashtbl.create 64;
+    served = Lru.create (4 * cfg.cache_capacity);
     respec_inflight = Hashtbl.create 8;
     analyses = 0;
     rejected = 0;
@@ -118,27 +122,15 @@ let create cfg =
     stale_served = 0;
     respecs = 0 }
 
-(* Co-located in-process shards: wire every shard's pass store to peek
-   at its siblings' on a local miss, so a chain-prefix artifact computed
-   on any shard is visible fleet-wide.  [peek] never takes a sibling's
-   find path, so the consultation cannot recurse or deadlock. *)
-let link_stores ts =
-  List.iter
-    (fun t ->
-      let siblings = List.filter (fun s -> s != t) ts in
-      Ogc_pass.Pass.Store.set_fallback t.passes (fun ~pass key ->
-          List.find_map
-            (fun s -> Ogc_pass.Pass.Store.peek s.passes ~pass key)
-            siblings))
-    ts
-
 (* --- stats ----------------------------------------------------------------- *)
 
 let stats_json t =
   let c = Cache.stats t.cache in
-  let analyses, rejected, expired, puts, stale_served, respecs =
+  let ( analyses, rejected, expired, puts, stale_served, respecs,
+        (indexed, index_evictions) ) =
     Mutex.protect t.m (fun () ->
-        (t.analyses, t.rejected, t.expired, t.puts, t.stale_served, t.respecs))
+        ( t.analyses, t.rejected, t.expired, t.puts, t.stale_served,
+          t.respecs, (Lru.length t.served, Lru.evictions t.served) ))
   in
   let lookups = c.Cache.hits + c.Cache.misses in
   J.Obj
@@ -168,39 +160,38 @@ let stats_json t =
            ("disk_bytes", J.Int c.Cache.disk_bytes) ]);
       ("passes",
        J.Obj
-         [ ("artifacts", J.Int (Ogc_pass.Pass.Store.entries t.passes));
+         [ ("artifacts", J.Int (Store.entries t.passes));
+           ("evictions", J.Int (Store.evictions t.passes));
            ("by_pass",
             J.Obj
-              (let replicas =
-                 Ogc_pass.Pass.Store.replica_stats t.passes
-               in
-               List.map
+              (List.map
                  (fun (n, h, m) ->
-                   ( n,
-                     J.Obj
-                       ([ ("hits", J.Int h); ("misses", J.Int m) ]
-                       @
-                       match List.assoc_opt n replicas with
-                       | Some r -> [ ("replica", J.Int r) ]
-                       | None -> []) ))
-                 (Ogc_pass.Pass.Store.pass_stats t.passes))) ]);
+                   (n, J.Obj [ ("hits", J.Int h); ("misses", J.Int m) ]))
+                 (Store.pass_stats t.passes))) ]);
       ("replication", J.Obj [ ("puts", J.Int puts) ]);
       ("profile",
-       (let programs, pushes = Profile_store.stats t.profiles in
-        let fn_hits, fn_runs =
-          Ogc_core.Vrp.Fn_cache.stats
-            (Ogc_pass.Pass.Store.fn_cache t.passes)
-        in
+       (let programs, pushes, evictions = Profile_store.stats t.profiles in
+        let fnc = Store.fn_cache t.passes in
+        let fn_hits, fn_runs = Ogc_core.Vrp.Fn_cache.stats fnc in
         J.Obj
           [ ("programs", J.Int programs);
             ("pushes", J.Int pushes);
+            ("evictions", J.Int evictions);
             ("stale_served", J.Int stale_served);
             ("respecializations", J.Int respecs);
+            ("stale_index",
+             J.Obj
+               [ ("entries", J.Int indexed);
+                 ("evictions", J.Int index_evictions) ]);
             (* per-function VRP memo behind every chain this store ran:
                hits are functions whose final recorded pass was replayed
                rather than recomputed *)
             ("fn_cache",
-             J.Obj [ ("hits", J.Int fn_hits); ("runs", J.Int fn_runs) ]) ]));
+             J.Obj
+               [ ("hits", J.Int fn_hits);
+                 ("runs", J.Int fn_runs);
+                 ("evictions", J.Int (Ogc_core.Vrp.Fn_cache.evictions fnc))
+               ]) ]));
       ("latency_ms", Front.latency_json t.front);
       (* Per-op second-denominated histograms from the metrics registry;
          all-zero until metrics are enabled. *)
@@ -213,6 +204,13 @@ let stats_json t =
            ("queue_limit", J.Int t.cfg.queue_limit) ]) ])
 
 (* --- request handling ------------------------------------------------------ *)
+
+(* Caller holds [t.m].  Remember [key] as the newest artifact of
+   [base_key]'s request shape unless a newer epoch is already noted. *)
+let note_served_locked t ~base_key ~epoch ~key =
+  match Lru.find t.served base_key with
+  | Some (e, _) when e >= epoch -> ()
+  | _ -> ignore (Lru.add t.served base_key (epoch, key))
 
 (* One background re-specialization per (request shape, epoch),
    admission-gated by the same bounded queue as foreground analyses;
@@ -252,9 +250,7 @@ let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
                  Cache.store t.cache key payload;
                  Mutex.protect t.m (fun () ->
                      t.respecs <- t.respecs + 1;
-                     match Hashtbl.find_opt t.served base_key with
-                     | Some (e, _) when e >= epoch -> ()
-                     | _ -> Hashtbl.replace t.served base_key (epoch, key));
+                     note_served_locked t ~base_key ~epoch ~key);
                  "ok"
                with _ ->
                  Front.count_error t.front;
@@ -286,7 +282,7 @@ let serve_stale t (r : Front.request) ~(req : Protocol.request) ~rkey ~wire
   else
     match
       Mutex.protect t.m (fun () ->
-          match Hashtbl.find_opt t.served base_key with
+          match Lru.find t.served base_key with
           | Some (e_old, old_key) when e_old < epoch -> Some (e_old, old_key)
           | _ -> None)
     with
@@ -332,14 +328,7 @@ let handle_analyze t (r : Front.request) (req : Protocol.request) =
      stale path wants to serve after the first push. *)
   let note_served () =
     if req.Protocol.pass = Protocol.P_vrs then
-      Mutex.protect t.m (fun () ->
-          (* advisory map (a dangling entry just misses the stale path),
-             so a hard reset is an acceptable bound *)
-          if Hashtbl.length t.served > 4 * t.cfg.cache_capacity then
-            Hashtbl.reset t.served;
-          match Hashtbl.find_opt t.served base_key with
-          | Some (e, _) when e >= epoch -> ()
-          | _ -> Hashtbl.replace t.served base_key (epoch, key))
+      Mutex.protect t.m (fun () -> note_served_locked t ~base_key ~epoch ~key)
   in
   let expired () =
     Mutex.protect t.m (fun () -> t.expired <- t.expired + 1);

@@ -71,13 +71,6 @@ val create : config -> t
     the worker pool.  Raises [Unix.Unix_error] when the address is
     unavailable. *)
 
-val link_stores : t list -> unit
-(** Wire the pass stores of co-located in-process shards together: on a
-    local artifact miss each shard peeks at its siblings (read-only, no
-    recursion) and installs what it finds, counted as a replica hit in
-    [stats].  Used by in-process fleets (tests, bench); separate shard
-    processes share artifacts through result replication instead. *)
-
 val run : t -> unit
 (** Serve until {!stop}; returns after the graceful drain completes.
     Call at most once. *)
@@ -92,9 +85,11 @@ val install_sigint : t -> unit
 val stats_json : t -> Ogc_json.Json.t
 (** The same counters the ["stats"] op reports: requests, cache
     hit/miss/eviction counts and byte footprint (both tiers), per-pass
-    artifact-store hit/miss counts (["passes"]), latency percentiles
-    plus per-op latency histograms (from {!Ogc_obs.Metrics}; all-zero
-    unless metrics are enabled), pool utilization. *)
+    artifact-store hit/miss counts and store evictions (["passes"]),
+    the profile store, stale-answer index and VRP fn-cache with their
+    evictions (["profile"]), latency percentiles plus per-op latency
+    histograms (from {!Ogc_obs.Metrics}; all-zero unless metrics are
+    enabled), pool utilization. *)
 
 val handle_line : t -> string -> string
 (** Process one request line and return the response line (without the

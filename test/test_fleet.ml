@@ -193,7 +193,6 @@ let stop_shard sp =
 
 let with_fleet ?(n = 3) ?(router_cfg = fun c -> c) f =
   let shards = List.init n (fun i -> start_shard (Printf.sprintf "s%d" i)) in
-  Server.link_stores (List.map (fun sp -> sp.sp_t) shards);
   let rpath = sock_path () in
   let targets =
     List.map
@@ -454,11 +453,12 @@ let test_router_replicates_hot_keys () =
       in
       poll ())
 
-(* The promoted flag lives in the hit table, so the table's reset at
-   [hits_cap] keys clears it too: a key that turns hot again after the
-   reset is promoted again, and the router keeps no per-key entry
-   forever.  One echo shard answers ok for everything; with a single
-   shard a promotion's replicate finds no replica and ends at once. *)
+(* The promoted flag lives in the hit table, so evicting a key from it
+   (the least recently requested, once [hits_cap] keys are held) clears
+   the flag too: a key that turns hot again after its eviction is
+   promoted again, and the router keeps no per-key entry forever.  One
+   echo shard answers ok for everything; with a single shard a
+   promotion's replicate finds no replica and ends at once. *)
 let test_router_promotion_table_is_bounded () =
   let hits_cap = 8192 in
   let path, stop = start_echo_shard ignore in
@@ -497,6 +497,36 @@ let test_router_promotion_table_is_bounded () =
     send hot
   done;
   Alcotest.(check int) "promoted again after the reset" 2 (promotions ())
+
+(* A pinned [hedge_ms] is the hedge threshold from the first request,
+   not only once the adaptive recomputation first runs. *)
+let test_router_pinned_hedge_from_first_request () =
+  let path, stop = start_echo_shard ignore in
+  Fun.protect ~finally:stop @@ fun () ->
+  let rpath = sock_path () in
+  let cfg =
+    { (Router.default_config ~addr:(Net.Unix_sock rpath)
+         ~shards:[ { Router.t_name = "echo"; t_addr = Net.Unix_sock path } ])
+      with
+      hedge_ms = Some 100.0 }
+  in
+  let r = Router.create cfg in
+  let rth = Thread.create Router.run r in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop r;
+      Thread.join rth;
+      if Sys.file_exists rpath then Sys.remove rpath)
+  @@ fun () ->
+  let threshold () =
+    match J.member "hedge_threshold_ms" (Router.stats_json r) with
+    | J.Float ms -> ms
+    | j -> Alcotest.failf "hedge_threshold_ms: %s" (J.to_string j)
+  in
+  Alcotest.(check (float 1e-9)) "before the first analyze" 100.0
+    (threshold ());
+  ignore (Router.handle_line r (analyze_line (src_of 1)));
+  Alcotest.(check (float 1e-9)) "after it" 100.0 (threshold ())
 
 (* A put to a stopped replica shard is a failed put: counted per shard
    and logged at warn with the shard name and the error. *)
@@ -865,6 +895,8 @@ let () =
            test_router_replicates_hot_keys;
          Alcotest.test_case "promotion table is bounded" `Quick
            test_router_promotion_table_is_bounded;
+         Alcotest.test_case "pinned hedge threshold from the first request"
+           `Quick test_router_pinned_hedge_from_first_request;
          Alcotest.test_case "counts and logs failed replica puts" `Quick
            test_router_counts_failed_replica_puts;
          Alcotest.test_case "rejects an oversized line" `Quick

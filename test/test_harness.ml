@@ -61,7 +61,7 @@ let test_quick_collection () =
   Alcotest.(check bool) "cooperative beats software alone" true
     (e w.Results.vrp_sig < e w.Results.vrp_sw);
   (* Width distributions are distributions. *)
-  let dist = Results.width_distribution w.Results.vrp_sw in
+  let dist = Ogc_cpu.Pipeline.width_distribution w.Results.vrp_sw in
   let total = List.fold_left (fun a (_, f) -> a +. f) 0.0 dist in
   Alcotest.(check bool) "sums to 1" true (abs_float (total -. 1.0) < 1e-6);
   (* Every renderer produces non-empty output containing its own rows. *)

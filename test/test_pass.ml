@@ -294,6 +294,36 @@ let test_fn_granular_revrp () =
   Alcotest.(check int) "unchanged functions replay" (r1 - 1) (h2 - h1);
   Alcotest.(check int) "only the mutated function re-runs" 1 (r2 - r1)
 
+(* A fn-cache with room for exactly one program's fragments, fed p1,
+   p2 (only [main] differs), then p2 again: p2's [main] evicts p1's, the
+   least recently used fragment, so the second p2 run replays every
+   function.  Every run equals an uncached one. *)
+let test_fn_cache_keeps_fragments_in_use () =
+  let p1 = Minic.compile (epoch_src "") in
+  let p2 = Minic.compile (epoch_src "  emit(999);\n") in
+  let n = List.length p1.Prog.funcs in
+  let fnc = Ogc_core.Vrp.Fn_cache.create ~capacity:n () in
+  let same p =
+    let cold = Vrp.analyze (Prog.copy p) in
+    let cached = Vrp.analyze ~fn_cache:fnc (Prog.copy p) in
+    Prog.iter_all_ins p (fun _ _ ins ->
+        let iid = ins.Prog.iid in
+        if
+          Vrp.range_of cold iid <> Vrp.range_of cached iid
+          || Vrp.width_of cold iid <> Vrp.width_of cached iid
+        then Alcotest.failf "iid %d differs from an uncached run" iid)
+  in
+  same p1;
+  same p2;
+  let h, r = Ogc_core.Vrp.Fn_cache.stats fnc in
+  Alcotest.(check (pair int int)) "p2 re-runs main alone" (n - 1, n + 1) (h, r);
+  Alcotest.(check int) "p1's main evicted" 1
+    (Ogc_core.Vrp.Fn_cache.evictions fnc);
+  same p2;
+  let h', r' = Ogc_core.Vrp.Fn_cache.stats fnc in
+  Alcotest.(check (pair int int)) "p2 again replays every function" (n, 0)
+    (h' - h, r' - r)
+
 let () =
   Alcotest.run "pass"
     [
@@ -305,6 +335,8 @@ let () =
             `Quick test_epoch_reruns_dependent_suffix;
           Alcotest.test_case "function mutation re-runs its VRP alone" `Quick
             test_fn_granular_revrp;
+          Alcotest.test_case "fn-cache keeps the fragments in use" `Quick
+            test_fn_cache_keeps_fragments_in_use;
         ] );
       ( "identity",
         [

@@ -46,12 +46,14 @@ let sock_path =
     incr n;
     Printf.sprintf "/tmp/ogc-test-%d-%d.sock" (Unix.getpid ()) !n
 
-let with_server ?(queue_limit = 64) ?cache_dir ?inject_slow_ms f =
+let with_server ?(queue_limit = 64) ?(cache_capacity = 256) ?cache_dir
+    ?inject_slow_ms f =
   let path = sock_path () in
   let cfg =
     { (Server.default_config (Net.Unix_sock path)) with
       jobs = Some 1;
       queue_limit;
+      cache_capacity;
       cache_dir;
       inject_slow_ms }
   in
@@ -139,7 +141,8 @@ let with_router path f =
 (* Each line gets byte-identical replies from the server's and the
    router's [handle_line] — the one front — and leaves exactly one
    flight record per front, with op ["invalid"], the reply's status as
-   outcome and that front's name as shard. *)
+   outcome and that front's name as shard.  No line reaches the profile
+   store. *)
 let check_fronts_agree lines =
   with_server (fun path t ->
       with_router path (fun r ->
@@ -163,7 +166,9 @@ let check_fronts_agree lines =
               let s = via "serve" (Server.handle_line t) in
               let rr = via "router" (Router.handle_line r) in
               Alcotest.(check string) ("same reply bytes for " ^ line) s rr)
-            lines))
+            lines;
+          Alcotest.(check int) "no profile pushed" 0
+            (J.get_int "pushes" (J.member "profile" (Server.stats_json t)))))
 
 (* --- cache ----------------------------------------------------------------- *)
 
@@ -442,7 +447,9 @@ let test_malformed_requests () =
       {|{"source":"x","deadline_ms":1.5}|};
       {|{"op":"put","key":"nothex"}|};
       {|{"op":"profile","source":"x"}|};
-      {|{"op":"profile","source":"x","profile":{"bb":7}}|} ]
+      {|{"op":"profile","source":"x","profile":{"bb":7}}|};
+      {|{"op":"profile","source":"x","profile":7}|};
+      {|{"op":"profile","source":"x","profile":[1,2]}|} ]
 
 (* --- flight records --------------------------------------------------------- *)
 
@@ -713,6 +720,85 @@ let test_legacy_unaffected_by_profiles () =
       Alcotest.(check string) "profile-less path = storeless cold run" cold
         (result_bytes r2))
 
+(* The route key a profile push for [source] is stored under. *)
+let route_key_of_push source =
+  match
+    Ogc_server.Protocol.op_of_json (J.of_string (profile_req ~source ()))
+  with
+  | Ogc_server.Protocol.Profile (req, _) -> Ogc_server.Protocol.route_key req
+  | _ -> Alcotest.fail "not a profile op"
+
+(* The profile store evicts the least recently used program: with room
+   for two, pushes of A, B, A, C drop B, not A, so A's next push answers
+   epoch 3.  The eviction is counted, and logged once with B's route key
+   and the epoch it dropped. *)
+let test_profile_store_keeps_pushed_program () =
+  let a = src
+  and b = "int main() { emit(11); return 0; }"
+  and c = "int main() { emit(22); return 0; }" in
+  with_warn_lines @@ fun warned ->
+  with_server ~cache_capacity:2 (fun path t ->
+      let push source =
+        int_of_string (field (request path (profile_req ~source ())) "epoch")
+      in
+      let e1 = push a in
+      let e2 = push b in
+      let e3 = push a in
+      let e4 = push c in
+      Alcotest.(check (list int))
+        "A, B, A, C" [ 1; 1; 2; 1 ] [ e1; e2; e3; e4 ];
+      Alcotest.(check int) "A kept its profile" 3 (push a);
+      let prof = J.member "profile" (Server.stats_json t) in
+      Alcotest.(check int) "two programs held" 2 (J.get_int "programs" prof);
+      Alcotest.(check int) "one eviction" 1 (J.get_int "evictions" prof);
+      match
+        List.filter
+          (fun l ->
+            J.member "msg" (J.of_string l) = J.Str "ogc-serve: profile evicted")
+          (warned ())
+      with
+      | [ l ] ->
+        let j = J.of_string l in
+        Alcotest.(check string) "B's route key" (route_key_of_push b)
+          (J.get_string "route_key" j);
+        Alcotest.(check int) "B's dropped epoch" 1 (J.get_int "epoch" j)
+      | ls -> Alcotest.failf "%d profile-eviction lines" (List.length ls))
+
+(* The stale-answer index holds 4 x cache_capacity request shapes and
+   evicts the least recently noted one.  With capacity 2 (8 shapes),
+   eight shapes, then A, then one more: the ninth and tenth shapes evict
+   the two oldest, A stays, and after a push A is answered stale from
+   its epoch-0 artifact (still in the 2-entry result cache). *)
+let test_stale_index_keeps_recent_shape () =
+  let vrs_line source =
+    J.to_string ~indent:false
+      (J.Obj [ ("source", J.Str source); ("pass", J.Str "vrs") ])
+  in
+  let other i =
+    vrs_line (Printf.sprintf "int main() { emit(%d); return 0; }" i)
+  in
+  let a = analyze_req ~pass:"vrs" ~cost:50 () in
+  with_server ~cache_capacity:2 (fun path t ->
+      let miss line =
+        Alcotest.(check string)
+          "computed" "miss" (field (request path line) "cache")
+      in
+      for i = 1 to 8 do
+        miss (other i)
+      done;
+      miss a;
+      miss (other 9);
+      Alcotest.(check string) "push ok" "1"
+        (field (request path (profile_req ())) "epoch");
+      let r = request path a in
+      Alcotest.(check string) "A answered stale" "stale" (field r "cache");
+      Alcotest.(check string) "from epoch 0" "0" (field r "served_epoch");
+      let index =
+        J.member "stale_index" (J.member "profile" (Server.stats_json t))
+      in
+      Alcotest.(check int) "bounded" 8 (J.get_int "entries" index);
+      Alcotest.(check int) "two evictions" 2 (J.get_int "evictions" index))
+
 (* --- drain ----------------------------------------------------------------- *)
 
 let test_stop_drains () =
@@ -959,7 +1045,11 @@ let () =
          Alcotest.test_case "stale-while-revalidate ordering" `Quick
            test_stale_while_revalidate;
          Alcotest.test_case "legacy clients are byte-unaffected" `Quick
-           test_legacy_unaffected_by_profiles ]);
+           test_legacy_unaffected_by_profiles;
+         Alcotest.test_case "profile store keeps a program still pushed"
+           `Quick test_profile_store_keeps_pushed_program;
+         Alcotest.test_case "stale-answer index keeps a recent shape" `Quick
+           test_stale_index_keeps_recent_shape ]);
       ("drain",
        [ Alcotest.test_case "stop drains cleanly" `Quick test_stop_drains;
          Alcotest.test_case "SIGINT drains cleanly" `Quick
