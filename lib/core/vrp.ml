@@ -3,7 +3,6 @@ open Ogc_ir
 module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
 module Pool = Ogc_exec.Pool
-module Lru = Ogc_exec.Lru
 
 (* Pass telemetry: fixpoint effort, pass wall time and the width mix the
    re-encoder actually commits — the static face of the paper's Table 1.
@@ -1051,156 +1050,6 @@ let assign_widths res (f : Prog.func) =
       | Some w -> res.widths.(ins.iid) <- Some w
       | None -> ())
 
-(* --- function-granular result cache ---------------------------------------- *)
-
-(* The final recorded pass is, per function, a pure function of the
-   function's code and its analysis inputs: the argument ranges, each
-   callee's visible return range, the addresses [La] resolves, the
-   config (with its per-function assumptions) and the engine.
-   [Fn_cache] memoizes that pass across whole-program runs, keyed by a
-   digest of exactly those inputs.  Recorded facts are stored
-   positionally (the [Prog.iter_ins] order), not by instruction id, so
-   a fragment survives the program-global iid renumbering that editing
-   an unrelated function (or a re-parse) causes.  The interprocedural
-   summary rounds always run — they are whole-program by nature and
-   their result feeds the digests. *)
-module Fn_cache = struct
-  let m_hit =
-    Metrics.counter "ogc_vrp_fn_cache_total" ~labels:[ ("outcome", "hit") ]
-
-  let m_run =
-    Metrics.counter "ogc_vrp_fn_cache_total" ~labels:[ ("outcome", "run") ]
-
-  type fragment = {
-    fr_ranges : Interval.t option array;  (* per body-instruction position *)
-    fr_inputs : (Interval.t * Interval.t) option array;
-    fr_reqs : Width.t option array;
-    fr_widths : Width.t option array;
-    fr_ret : Interval.t;
-    (* Effort counters replayed into [fixpoint_stats], keeping the
-       result — introspection included — identical to a live run. *)
-    fr_visits : int;
-    fr_rounds : int;
-  }
-
-  type t = {
-    m : Mutex.t;
-    entries : (string, fragment) Lru.t;
-    mutable hits : int;
-    mutable runs : int;
-  }
-
-  let create ?(capacity = 4096) () =
-    {
-      m = Mutex.create ();
-      entries = Lru.create capacity;
-      hits = 0;
-      runs = 0;
-    }
-
-  let find t key =
-    Mutex.protect t.m (fun () ->
-        match Lru.find t.entries key with
-        | Some fr ->
-          t.hits <- t.hits + 1;
-          Metrics.incr m_hit;
-          Some fr
-        | None ->
-          t.runs <- t.runs + 1;
-          Metrics.incr m_run;
-          None)
-
-  let install t key fr =
-    Mutex.protect t.m (fun () ->
-        if not (Lru.mem t.entries key) then
-          ignore (Lru.add t.entries key fr))
-
-  (* (hits, runs): fragment replays vs. live final passes since create. *)
-  let stats t = Mutex.protect t.m (fun () -> (t.hits, t.runs))
-
-  let evictions t = Mutex.protect t.m (fun () -> Lru.evictions t.entries)
-end
-
-(* Digest of everything the function's recorded pass can observe.  The
-   body is rendered through the (iid-free) assembly printer, so two
-   programs whose instruction ids differ but whose code and analysis
-   inputs agree share a digest. *)
-let func_digest ~config ~engine ~gaddr ~args ~ret_of ~callees
-    (f : Prog.func) =
-  let b = Buffer.create 1024 in
-  let add s =
-    Buffer.add_string b s;
-    Buffer.add_char b '\x00'
-  in
-  let interval (i : Interval.t) =
-    Printf.sprintf "%Ld:%Ld" i.Interval.lo i.Interval.hi
-  in
-  add (match engine with Dense -> "dense" | Naive -> "naive");
-  add (Printf.sprintf "%b %b" config.useful config.useful_through_arith);
-  List.iter
-    (fun a ->
-      if String.equal a.af f.fname then
-        add
-          (Printf.sprintf "as %d %d %s" (Label.to_int a.alabel)
-             (Reg.to_int a.areg) (interval a.arange)))
-    config.assumptions;
-  add f.fname;
-  add (string_of_int f.arity);
-  add (string_of_int f.frame_size);
-  Array.iter (fun r -> add (interval r)) args;
-  Array.iter
-    (fun (blk : Prog.block) ->
-      add (string_of_int (Label.to_int blk.label));
-      Array.iter
-        (fun (ins : Prog.ins) ->
-          add (Instr.to_string ins.op);
-          match ins.op with
-          | Instr.La { symbol; _ } ->
-            add
-              (match Hashtbl.find_opt gaddr symbol with
-              | Some a -> Printf.sprintf "la %Ld" a
-              | None -> "la ?")
-          | _ -> ())
-        blk.body;
-      add (Asm.terminator_to_string blk.term))
-    f.blocks;
-  List.iter
-    (fun c -> add (Printf.sprintf "c %s %s" c (interval (ret_of c))))
-    callees;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let extract_fragment res (f : Prog.func) ~ret ~visits ~rounds =
-  let n = ref 0 in
-  Prog.iter_ins f (fun _ _ -> incr n);
-  let fr =
-    {
-      Fn_cache.fr_ranges = Array.make !n None;
-      fr_inputs = Array.make !n None;
-      fr_reqs = Array.make !n None;
-      fr_widths = Array.make !n None;
-      fr_ret = ret;
-      fr_visits = visits;
-      fr_rounds = rounds;
-    }
-  in
-  let pos = ref 0 in
-  Prog.iter_ins f (fun _ ins ->
-      fr.Fn_cache.fr_ranges.(!pos) <- get res.ranges ins.iid;
-      fr.Fn_cache.fr_inputs.(!pos) <- get res.inputs ins.iid;
-      fr.Fn_cache.fr_reqs.(!pos) <- get res.reqs ins.iid;
-      fr.Fn_cache.fr_widths.(!pos) <- get res.widths ins.iid;
-      incr pos);
-  fr
-
-let replay_fragment res (f : Prog.func) (fr : Fn_cache.fragment) =
-  let pos = ref 0 in
-  Prog.iter_ins f (fun _ ins ->
-      res.ranges.(ins.iid) <- fr.Fn_cache.fr_ranges.(!pos);
-      res.inputs.(ins.iid) <- fr.Fn_cache.fr_inputs.(!pos);
-      res.reqs.(ins.iid) <- fr.Fn_cache.fr_reqs.(!pos);
-      res.widths.(ins.iid) <- fr.Fn_cache.fr_widths.(!pos);
-      incr pos)
-
 (* --- driver ---------------------------------------------------------------- *)
 
 (* Interprocedural schedule.  Within one summary-refinement round the
@@ -1221,10 +1070,9 @@ let replay_fragment res (f : Prog.func) (fr : Fn_cache.fragment) =
    a smaller index, else from the round-fixpoint snapshot — exactly the
    view the sequential schedule provides.
 
-   [finish res plan] runs right after a function's live recorded pass,
-   in the same task ({!analyze} hangs demand and width assignment
-   there); a cached fragment replays its effect. *)
-let solve ~config ~engine ~jobs ~fn_cache ~finish (p : Prog.t) : result =
+   [finish res plan] runs right after a function's recorded pass, in
+   the same task ({!analyze} hangs demand and width assignment there). *)
+let solve ~config ~engine ~jobs ~finish (p : Prog.t) : result =
   let jobs = match jobs with None -> 1 | Some n -> Pool.resolve_jobs (Some n) in
   let n_iid = max p.next_iid 1 in
   let res =
@@ -1345,34 +1193,13 @@ let solve ~config ~engine ~jobs ~fn_cache ~finish (p : Prog.t) : result =
             | Some j -> snapshot_ret.(j)
             | None -> Interval.top
           in
-          let run_live () =
-            let ctx =
-              { gaddr; ret_of; args_of = args_of f; func_of; config;
-                arg_acc = None; record = Some res }
-            in
-            let ret, v, r = analyze_func ctx plans.(i) ~engine in
-            finish res plans.(i);
-            (ret, v, r)
+          let ctx =
+            { gaddr; ret_of; args_of = args_of f; func_of; config;
+              arg_acc = None; record = Some res }
           in
-          match fn_cache with
-          | None ->
-            let ret, v, r = run_live () in
-            (i, ret, v, r)
-          | Some fc -> (
-            let key =
-              func_digest ~config ~engine ~gaddr ~args:(args_of f) ~ret_of
-                ~callees:(Callgraph.callees cg f.fname) f
-            in
-            match Fn_cache.find fc key with
-            | Some fr ->
-              replay_fragment res f fr;
-              (i, fr.Fn_cache.fr_ret, fr.Fn_cache.fr_visits,
-               fr.Fn_cache.fr_rounds)
-            | None ->
-              let ret, v, r = run_live () in
-              Fn_cache.install fc key
-                (extract_fragment res f ~ret ~visits:v ~rounds:r);
-              (i, ret, v, r)))
+          let ret, v, r = analyze_func ctx plans.(i) ~engine in
+          finish res plans.(i);
+          (i, ret, v, r))
         by_level.(lv)
     in
     List.iter (fun (i, ret, v, r) -> finals.(i) <- Some ret; add_stats v r) results
@@ -1390,14 +1217,14 @@ let solve ~config ~engine ~jobs ~fn_cache ~finish (p : Prog.t) : result =
 (* Ranges only: what the spill-slot width oracle reads. *)
 let ranges p =
   Span.with_ ~name:"vrp:ranges" (fun () ->
-      solve ~config:default_config ~engine:Dense ~jobs:None ~fn_cache:None
+      solve ~config:default_config ~engine:Dense ~jobs:None
         ~finish:(fun _ _ -> ()) p)
 
-let analyze ?(config = default_config) ?(engine = Dense) ?jobs ?fn_cache
-    (p : Prog.t) : result =
+let analyze ?(config = default_config) ?(engine = Dense) ?jobs (p : Prog.t) :
+    result =
   let ops : Instr.t option array = Array.make (max p.next_iid 1) None in
   Prog.iter_all_ins p (fun _ _ ins -> ops.(ins.iid) <- Some ins.op);
-  solve ~config ~engine ~jobs ~fn_cache p ~finish:(fun res plan ->
+  solve ~config ~engine ~jobs p ~finish:(fun res plan ->
       useful_pass config res plan.pf plan.pcfg ops;
       assign_widths res plan.pf)
 
@@ -1425,10 +1252,10 @@ let apply res (p : Prog.t) =
         | Instr.Li _ | Instr.La _ | Instr.Load _ | Instr.Store _
         | Instr.Call _ | Instr.Emit _ -> ()))
 
-let run ?config ?jobs ?fn_cache p =
+let run ?config ?jobs p =
   let res, dt =
     Span.timed ~name:"vrp" (fun () ->
-        let res = analyze ?config ?jobs ?fn_cache p in
+        let res = analyze ?config ?jobs p in
         apply res p;
         res)
   in

@@ -84,46 +84,11 @@ type engine = Dense | Naive
     summed over every function and interprocedural round. *)
 type fixpoint_stats = { visits : int; rounds : int }
 
-(** Function-granular memo of the final recorded pass, shared across
-    whole-program runs.  Per function, that pass is a pure function of
-    the function's code and its analysis inputs (argument ranges, each
-    callee's visible return range, resolvable global addresses, config
-    and engine); the cache keys a positional fragment of the recorded
-    facts by a digest of exactly those inputs, rendered through the
-    iid-free assembly printer — so a fragment survives the program-wide
-    instruction renumbering an edit of an {e unrelated} function
-    causes, and a changed or re-profiled function re-runs alone.  The
-    interprocedural summary rounds always run (they are whole-program
-    and feed the digests).  Results with and without a cache are
-    bit-identical, [fixpoint_stats] included.  Thread-safe; bounded,
-    with exact LRU eviction ({!Ogc_exec.Lru}): a replayed fragment is
-    the most recently used. *)
-module Fn_cache : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** Default capacity: 4096 function fragments. *)
-
-  val stats : t -> int * int
-  (** [(hits, runs)]: fragment replays vs. live per-function final
-      passes since {!create}. *)
-
-  val evictions : t -> int
-  (** Fragments evicted since {!create}. *)
-end
-
-(** [analyze ?config ?engine ?jobs ?fn_cache prog] runs the analysis;
-    [prog] is not modified.  [jobs] parallelizes the per-function
-    analyses over domains (default 1; [0] means auto); results are
-    identical at any value.  [fn_cache] memoizes the per-function final
-    pass across runs (see {!Fn_cache}). *)
-val analyze :
-  ?config:config ->
-  ?engine:engine ->
-  ?jobs:int ->
-  ?fn_cache:Fn_cache.t ->
-  Prog.t ->
-  result
+(** [analyze ?config ?engine ?jobs prog] runs the analysis; [prog] is
+    not modified.  [jobs] parallelizes the per-function analyses over
+    domains (default 1; [0] means auto); results are identical at any
+    value. *)
+val analyze : ?config:config -> ?engine:engine -> ?jobs:int -> Prog.t -> result
 
 (** [ranges prog] runs the forward analysis alone, with the default
     config, the [Dense] engine and one job: the interprocedural summary
@@ -152,10 +117,8 @@ val width_of : result -> int -> Width.t option
     checks checksum equality on every workload). *)
 val apply : result -> Prog.t -> unit
 
-(** [run ?config ?jobs ?fn_cache prog] = [analyze] + [apply]; returns
-    the result. *)
-val run :
-  ?config:config -> ?jobs:int -> ?fn_cache:Fn_cache.t -> Prog.t -> result
+(** [run ?config ?jobs prog] = [analyze] + [apply]; returns the result. *)
+val run : ?config:config -> ?jobs:int -> Prog.t -> result
 
 (** {1 Introspection for tests and reports} *)
 

@@ -1,10 +1,10 @@
 (** Bounded map with exact least-recently-used eviction.
 
     The one eviction mechanism of the service's caches and indexes: the
-    result cache's memory tier, the pass store, the per-function VRP
-    cache, the profile store, the server's stale-answer index and the
-    router's hot-key table.  A hash table maps each key to its node in a
-    doubly linked recency list, so every operation is O(1).
+    result cache's memory tier, the pass store, the profile store, the
+    server's stale-answer index and the router's hot-key table.  A hash
+    table maps each key to its node in a doubly linked recency list, so
+    every operation is O(1).
 
     Unsynchronized: each owner guards its map with its own lock. *)
 

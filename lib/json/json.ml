@@ -127,6 +127,44 @@ let literal st word v =
   end
   else fail st (Printf.sprintf "expected %s" word)
 
+(* The four hex digits of a [\u] escape. *)
+let hex4 st =
+  if st.pos + 4 > String.length st.s then fail st "bad \\u escape";
+  let digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> fail st "bad \\u escape"
+  in
+  let v = ref 0 in
+  for i = 0 to 3 do
+    v := (!v lsl 4) lor digit st.s.[st.pos + i]
+  done;
+  st.pos <- st.pos + 4;
+  !v
+
+(* The code point of a [\u] escape whose [\u] is already consumed: a
+   high surrogate joins the escaped low surrogate that must follow it,
+   and a surrogate on its own is an error. *)
+let code_point st =
+  let lone () = fail st "lone surrogate in \\u escape" in
+  let hi = hex4 st in
+  if hi < 0xD800 || hi > 0xDFFF then hi
+  else if hi > 0xDBFF then lone ()
+  else begin
+    if
+      not
+        (st.pos + 2 <= String.length st.s
+        && st.s.[st.pos] = '\\'
+        && st.s.[st.pos + 1] = 'u')
+    then lone ();
+    st.pos <- st.pos + 2;
+    let lo = hex4 st in
+    if lo < 0xDC00 || lo > 0xDFFF then lone ();
+    0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+  end
+
 let parse_string st =
   expect st '"';
   let b = Buffer.create 16 in
@@ -149,17 +187,7 @@ let parse_string st =
       | 'n' -> Buffer.add_char b '\n'
       | 'r' -> Buffer.add_char b '\r'
       | 't' -> Buffer.add_char b '\t'
-      | 'u' ->
-        if st.pos + 4 > String.length st.s then fail st "bad \\u escape";
-        let hex = String.sub st.s st.pos 4 in
-        st.pos <- st.pos + 4;
-        let code =
-          try int_of_string ("0x" ^ hex)
-          with _ -> fail st "bad \\u escape"
-        in
-        (* Only the byte range is produced by our own printer. *)
-        if code < 0x100 then Buffer.add_char b (Char.chr code)
-        else fail st "unsupported \\u escape beyond latin-1"
+      | 'u' -> Buffer.add_utf_8_uchar b (Uchar.of_int (code_point st))
       | _ -> fail st "bad escape");
       go ()
     | c -> Buffer.add_char b c; go ()

@@ -20,14 +20,12 @@ type state = {
   mutable profile : Vrs.analysis option;
   mutable report : Vrs.report option;
   (* Environment the chain runs under, not an artifact fact: the caller's
-     streamed profile and the store's cross-run per-function VRP cache.
-     [wire_ok] IS artifact state — it says whether the program still has
-     the instruction ids [wire]'s observations were collected against
-     (every transformation clears it, so a pass downstream of e.g. VRS
-     falls back to training-run profiling). *)
+     streamed profile.  [wire_ok] IS artifact state — it says whether the
+     program still has the instruction ids [wire]'s observations were
+     collected against (every transformation clears it, so a pass
+     downstream of e.g. VRS falls back to training-run profiling). *)
   mutable wire : Profile.t option;
   mutable wire_ok : bool;
-  mutable fnc : Vrp.Fn_cache.t option;
 }
 
 let initial prog =
@@ -40,7 +38,6 @@ let initial prog =
     report = None;
     wire = None;
     wire_ok = true;
-    fnc = None;
   }
 
 (* Analysis facts are immutable once computed and keyed by instruction
@@ -48,8 +45,8 @@ let initial prog =
    copies only the program and shares the facts. *)
 let snapshot st = { st with prog = Prog.copy st.prog }
 
-(* [wire] and [fnc] stay the running chain's: a restored artifact must
-   not revive the environment of whichever chain stored it. *)
+(* [wire] stays the running chain's: a restored artifact must not revive
+   the environment of whichever chain stored it. *)
 let restore st snap =
   st.prog <- snap.prog;
   st.vrp <- snap.vrp;
@@ -82,7 +79,7 @@ let ensure_vrp st =
   match st.vrp with
   | Some r -> r
   | None ->
-    let r = Vrp.analyze ?fn_cache:st.fnc st.prog in
+    let r = Vrp.analyze st.prog in
     st.vrp <- Some r;
     r
 
@@ -168,10 +165,7 @@ let vrp_pass =
           | "conventional" -> Vrp.conventional_config
           | v -> Fmt.failwith "vrp: unknown variant %S" v
         in
-        st.vrp <-
-          Some
-            (Vrp.analyze ~config ~jobs:(cfg_int "jobs" cfg)
-               ?fn_cache:st.fnc st.prog);
+        st.vrp <- Some (Vrp.analyze ~config ~jobs:(cfg_int "jobs" cfg) st.prog);
         st.encoded <- false;
         st.profile <- None;
         Printf.sprintf "%s fixpoint over %d instructions"
@@ -376,11 +370,6 @@ module Store = struct
     m : Mutex.t;
     snapshots : (string, state) Lru.t;
     by_pass : (string, per_pass) Hashtbl.t;
-    (* Cross-run per-function VRP memo, shared by every chain that runs
-       against this store: an epoch bump re-addresses the downstream
-       artifacts, but unchanged functions still replay their fragments
-       here instead of re-running the fixpoint's final pass. *)
-    fn_cache : Vrp.Fn_cache.t;
   }
 
   let create ?(capacity = 64) () =
@@ -388,10 +377,7 @@ module Store = struct
       m = Mutex.create ();
       snapshots = Lru.create capacity;
       by_pass = Hashtbl.create 8;
-      fn_cache = Vrp.Fn_cache.create ();
     }
-
-  let fn_cache t = t.fn_cache
 
   let counters t pass =
     match Hashtbl.find_opt t.by_pass pass with
@@ -412,7 +398,7 @@ module Store = struct
           c.misses <- c.misses + 1;
           None)
 
-  let store t ~pass:_ key st =
+  let store t key st =
     Mutex.protect t.m (fun () ->
         if not (Lru.mem t.snapshots key) then
           ignore (Lru.add t.snapshots key (snapshot st)))
@@ -467,9 +453,6 @@ type step = {
 let run_chain ?store ?wire chain prog =
   let st = initial prog in
   st.wire <- wire;
-  (match store with
-  | Some s -> st.fnc <- Some (Store.fn_cache s)
-  | None -> ());
   let epoch = match wire with Some w -> Profile.epoch w | None -> 0 in
   (* Keys are only needed (and only worth the Prog_json serialization)
      when a store is attached. *)
@@ -518,7 +501,7 @@ let run_chain ?store ?wire chain prog =
           mark m_runs inst.pass.name Metrics.incr;
           mark m_seconds inst.pass.name (fun h -> Metrics.observe h dt);
           (match store with
-          | Some s -> Store.store s ~pass:inst.pass.name !key st
+          | Some s -> Store.store s !key st
           | None -> ());
           {
             t_pass = inst.pass.name;

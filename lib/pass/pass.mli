@@ -47,9 +47,6 @@ type state = {
   mutable wire_ok : bool;
       (** whether [prog] still carries the instruction ids [wire]'s
           observations refer to; cleared by every transformation *)
-  mutable fnc : Ogc_core.Vrp.Fn_cache.t option;
-      (** the attached store's cross-run per-function VRP cache —
-          environment, like [wire] *)
 }
 
 val wire_of : state -> Profile.t option
@@ -116,7 +113,7 @@ module Store : sig
   (** A private copy of the snapshot at this address, if present;
       updates recency and the per-pass hit/miss counters. *)
 
-  val store : t -> pass:string -> string -> state -> unit
+  val store : t -> string -> state -> unit
   (** Idempotent: re-storing an existing address keeps the first
       snapshot and its recency.  A store into a full store evicts the
       least recently used snapshot. *)
@@ -125,10 +122,6 @@ module Store : sig
 
   val evictions : t -> int
   (** Snapshots evicted since {!create}. *)
-
-  val fn_cache : t -> Ogc_core.Vrp.Fn_cache.t
-  (** The store's cross-run per-function VRP cache, threaded into every
-      chain run against this store ({!Ogc_core.Vrp.Fn_cache}). *)
 
   val pass_stats : t -> (string * int * int) list
   (** Per pass name (sorted): store hits and misses since creation. *)

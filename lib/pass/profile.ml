@@ -39,8 +39,8 @@ let create () =
 
 let epoch t = t.p_epoch
 
-(* Deep copy: chains hold onto the profile they were run with, so the
-   store's accumulator must not alias what a request consumes. *)
+(* Deep copy: the server's profile store merges a push into a copy, so
+   a profile a chain was run with is never written again. *)
 let copy t =
   let bb = Hashtbl.create (Hashtbl.length t.p_bb) in
   Hashtbl.iter (fun fn a -> Hashtbl.replace bb fn (Array.copy a)) t.p_bb;

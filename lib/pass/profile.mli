@@ -24,8 +24,8 @@ val create : unit -> t
 val epoch : t -> int
 
 val copy : t -> t
-(** Deep copy; the store's accumulator must never alias what a request
-    consumes. *)
+(** Deep copy; the server's profile store merges each push into one, so
+    a profile a request consumes is never written again. *)
 
 val values_table : t -> (int, (int64 * int) list) Hashtbl.t
 (** Per-candidate observations for {!Ogc_core.Vrs.analyze}'s [values]

@@ -8,6 +8,11 @@
    profile-dependent artifacts, which is what turns "fresher profile"
    into "recompute the profile-dependent suffix".
 
+   A published profile is never written again: a push merges into a
+   copy and publishes the copy, so a request reads the published value
+   without copying it, and the epoch it sees is the epoch of the very
+   counts it consumes.
+
    Bounded, with exact LRU eviction over programs: a fleet fed by a
    fuzzing client must not grow a profile per discarded program forever,
    and a program that is still pushed or submitted keeps its profile.
@@ -20,7 +25,7 @@ module Profile = Ogc_pass.Profile
 
 type t = {
   m : Mutex.t;
-  programs : (string, Profile.t) Lru.t;  (* route_key -> accumulator *)
+  programs : (string, Profile.t) Lru.t;  (* route_key -> published *)
   mutable pushes : int;
 }
 
@@ -28,22 +33,20 @@ let create ?(capacity = 256) () =
   { m = Mutex.create (); programs = Lru.create capacity; pushes = 0 }
 
 (* Merge a client delta (already decoded — decoding happens outside the
-   lock) into the program's accumulator and bump its epoch.  Returns the
-   new epoch. *)
+   lock) into a copy of the program's profile, bump the copy's epoch and
+   publish it.  Returns the new epoch. *)
 let push t key delta =
   let epoch, evicted =
     Mutex.protect t.m (fun () ->
-        let acc, evicted =
+        let acc =
           match Lru.find t.programs key with
-          | Some p -> (p, None)
-          | None ->
-            let p = Profile.create () in
-            (p, Lru.add t.programs key p)
+          | Some p -> Profile.copy p
+          | None -> Profile.create ()
         in
         Profile.merge_into acc delta;
         acc.Profile.p_epoch <- Profile.epoch acc + 1;
         t.pushes <- t.pushes + 1;
-        (Profile.epoch acc, evicted))
+        (Profile.epoch acc, Lru.add t.programs key acc))
   in
   Option.iter
     (fun (k, p) ->
@@ -52,11 +55,7 @@ let push t key delta =
     evicted;
   epoch
 
-(* A deep copy: what a request consumes must never alias the
-   accumulator a concurrent push is mutating. *)
-let find t key =
-  Mutex.protect t.m (fun () ->
-      Option.map Profile.copy (Lru.find t.programs key))
+let find t key = Mutex.protect t.m (fun () -> Lru.find t.programs key)
 
 let stats t =
   Mutex.protect t.m (fun () ->

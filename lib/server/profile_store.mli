@@ -3,8 +3,10 @@
 
     Keyed by {!Protocol.route_key} (the program-identity digest), so all
     option variants of one program share a single accumulated profile.
-    Each push merges a client delta and bumps the program's epoch — the
-    monotone counter that salts profile-dependent artifact addresses.
+    Each push merges a client delta into a copy of the program's
+    profile, bumps the copy's epoch — the monotone counter that salts
+    profile-dependent artifact addresses — and publishes it in place of
+    the old value, which is never written again.
     Bounded, with exact LRU eviction over programs ({!Ogc_exec.Lru}):
     a push or a lookup refreshes its program, so a program still in use
     keeps its profile.  An evicted program's next push starts again at
@@ -17,13 +19,14 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] defaults to 256 programs. *)
 
 val push : t -> string -> Ogc_pass.Profile.t -> int
-(** [push t route_key delta] accumulates [delta] and returns the
-    program's new (strictly increased) epoch. *)
+(** [push t route_key delta] publishes the program's profile with
+    [delta] accumulated and returns its new (strictly increased)
+    epoch. *)
 
 val find : t -> string -> Ogc_pass.Profile.t option
-(** A deep copy of the accumulated profile (never the accumulator
-    itself — pushes keep mutating that).  Refreshes the program's
-    recency. *)
+(** The published profile, shared: no push writes to it, so its epoch
+    and counts stay as found, and the caller must not write to it
+    either.  Refreshes the program's recency. *)
 
 val stats : t -> int * int * int
 (** [(programs, pushes, evictions)]: programs held now, pushes and

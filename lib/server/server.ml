@@ -171,8 +171,6 @@ let stats_json t =
       ("replication", J.Obj [ ("puts", J.Int puts) ]);
       ("profile",
        (let programs, pushes, evictions = Profile_store.stats t.profiles in
-        let fnc = Store.fn_cache t.passes in
-        let fn_hits, fn_runs = Ogc_core.Vrp.Fn_cache.stats fnc in
         J.Obj
           [ ("programs", J.Int programs);
             ("pushes", J.Int pushes);
@@ -182,16 +180,7 @@ let stats_json t =
             ("stale_index",
              J.Obj
                [ ("entries", J.Int indexed);
-                 ("evictions", J.Int index_evictions) ]);
-            (* per-function VRP memo behind every chain this store ran:
-               hits are functions whose final recorded pass was replayed
-               rather than recomputed *)
-            ("fn_cache",
-             J.Obj
-               [ ("hits", J.Int fn_hits);
-                 ("runs", J.Int fn_runs);
-                 ("evictions", J.Int (Ogc_core.Vrp.Fn_cache.evictions fnc))
-               ]) ]));
+                 ("evictions", J.Int index_evictions) ]) ]));
       ("latency_ms", Front.latency_json t.front);
       (* Per-op second-denominated histograms from the metrics registry;
          all-zero until metrics are enabled. *)
@@ -311,7 +300,7 @@ let handle_analyze t (r : Front.request) (req : Protocol.request) =
   let rkey = Protocol.route_key req in
   facts.key <- rkey;
   (* One consistent snapshot of the program's accumulated profile: the
-     epoch that salts the key is the epoch of the very copy the chain
+     epoch that salts the key is the epoch of the very value the chain
      will consume.  Only VRS chains consume profiles — every other pass
      keeps its epoch-free key, so a push never invalidates it. *)
   let wire =

@@ -152,9 +152,21 @@ let test_unicode_escape_parsing () =
     match J.of_string s with J.Str v -> v | _ -> Alcotest.failf "not a string: %s" s
   in
   Alcotest.(check string) "\\u0041" "A" (parse "\"\\u0041\"");
-  Alcotest.(check string) "\\u00e9" "\xe9" (parse "\"\\u00e9\"");
+  Alcotest.(check string) "\\u00e9" "\xc3\xa9" (parse "\"\\u00e9\"");
+  Alcotest.(check string) "\\u2014" "\xe2\x80\x94" (parse "\"\\u2014\"");
+  Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80"
+    (parse "\"\\ud83d\\ude00\"");
+  Alcotest.(check string) "escaped = raw UTF-8" "caf\xc3\xa9 \xe2\x80\x94 ok"
+    (parse "\"caf\\u00e9 \\u2014 ok\"");
   Alcotest.(check string) "\\u000A" "\n" (parse "\"\\u000A\"");
   Alcotest.(check string) "mixed" "a\nb" (parse "\"a\\u000ab\"");
+  List.iter
+    (fun bad ->
+      match J.of_string bad with
+      | exception J.Parse_error _ -> ()
+      | _ -> Alcotest.failf "accepted %s" bad)
+    [ "\"\\ud800\""; "\"\\ud800x\""; "\"\\ud800\\u0041\""; "\"\\ude00\"";
+      "\"\\u12g4\"" ];
   Alcotest.(check string) "short escapes" "\n\t\r\b\x0c\"\\/"
     (parse "\"\\n\\t\\r\\b\\f\\\"\\\\\\/\"")
 

@@ -278,51 +278,87 @@ let test_epoch_reruns_dependent_suffix () =
   Alcotest.(check string) "warm epoch bump = cold" (prog_bytes cold.Pass.prog)
     (prog_bytes st3.Pass.prog)
 
-let test_fn_granular_revrp () =
-  let p1 = Minic.compile (epoch_src "") in
-  (* Same helpers, one extra statement in [main]: only [main]'s fragment
-     digest changes. *)
-  let p2 = Minic.compile (epoch_src "  emit(999);\n") in
-  let store = Pass.Store.create () in
-  let fnc = Pass.Store.fn_cache store in
-  ignore (Pass.run ~store "vrp" (Prog.copy p1));
-  let h1, r1 = Ogc_core.Vrp.Fn_cache.stats fnc in
-  Alcotest.(check int) "cold run replays nothing" 0 h1;
-  Alcotest.(check bool) "several functions analyzed" true (r1 >= 3);
-  ignore (Pass.run ~store "vrp" (Prog.copy p2));
-  let h2, r2 = Ogc_core.Vrp.Fn_cache.stats fnc in
-  Alcotest.(check int) "unchanged functions replay" (r1 - 1) (h2 - h1);
-  Alcotest.(check int) "only the mutated function re-runs" 1 (r2 - r1)
+(* --- one store shared across programs --------------------------------- *)
 
-(* A fn-cache with room for exactly one program's fragments, fed p1,
-   p2 (only [main] differs), then p2 again: p2's [main] evicts p1's, the
-   least recently used fragment, so the second p2 run replays every
-   function.  Every run equals an uncached one. *)
-let test_fn_cache_keeps_fragments_in_use () =
-  let p1 = Minic.compile (epoch_src "") in
-  let p2 = Minic.compile (epoch_src "  emit(999);\n") in
-  let n = List.length p1.Prog.funcs in
-  let fnc = Ogc_core.Vrp.Fn_cache.create ~capacity:n () in
-  let same p =
-    let cold = Vrp.analyze (Prog.copy p) in
-    let cached = Vrp.analyze ~fn_cache:fnc (Prog.copy p) in
-    Prog.iter_all_ins p (fun _ _ ins ->
-        let iid = ins.Prog.iid in
-        if
-          Vrp.range_of cold iid <> Vrp.range_of cached iid
-          || Vrp.width_of cold iid <> Vrp.width_of cached iid
-        then Alcotest.failf "iid %d differs from an uncached run" iid)
+module Gen_minic = Ogc_fuzz.Gen_minic
+
+(* The first [per_family] programs of each generator family, drawn from
+   fixed generator states as test_usedef's cloned-code case draws them:
+   cloning has no bound on code growth, so only a fixed sample has a
+   bound on run time. *)
+let per_family = 8
+
+let store_sample =
+  lazy
+    (List.concat
+       (List.mapi
+          (fun k (fam, gen) ->
+            List.filter_map
+              (fun i ->
+                let src = gen (Random.State.make [| 42; k; i |]) in
+                match Minic.compile src with
+                | p -> Some (Printf.sprintf "%s program %d" fam i, p)
+                | exception Minic.Error _ -> None)
+              (List.init per_family Fun.id))
+          [ ("plain", Gen_minic.program);
+            ("pressure", Gen_minic.pressure_program);
+            ("zero", Gen_minic.zero_program) ]))
+
+(* Everything a VRS report holds but its final VRP fact, which the
+   output program's widths already show; iid sets in order. *)
+let report_view (st : Pass.state) =
+  let iids tbl =
+    List.sort Int.compare (Hashtbl.fold (fun iid () acc -> iid :: acc) tbl [])
   in
-  same p1;
-  same p2;
-  let h, r = Ogc_core.Vrp.Fn_cache.stats fnc in
-  Alcotest.(check (pair int int)) "p2 re-runs main alone" (n - 1, n + 1) (h, r);
-  Alcotest.(check int) "p1's main evicted" 1
-    (Ogc_core.Vrp.Fn_cache.evictions fnc);
-  same p2;
-  let h', r' = Ogc_core.Vrp.Fn_cache.stats fnc in
-  Alcotest.(check (pair int int)) "p2 again replays every function" (n, 0)
-    (h' - h, r' - r)
+  Option.map
+    (fun r ->
+      ( r.Vrs.profiled,
+        (r.Vrs.static_cloned, r.Vrs.static_eliminated),
+        (iids r.Vrs.guard_iids, iids r.Vrs.guard_branch_iids,
+         iids r.Vrs.clone_iids),
+        r.Vrs.clone_blocks,
+        r.Vrs.assumptions ))
+    st.Pass.report
+
+(* An eight-snapshot store shared by the whole sample.  Each program
+   runs the server's two VRS chains back to back: without a wire
+   profile, then with an epoch-1 wire profile and the zspec tail.  The
+   second run restores the first run's epoch-free [vrp] and
+   [encode-widths] snapshots and re-runs the epoch-salted rest, and
+   every program's snapshots evict the previous program's.  Every output
+   equals a storeless run's.  (Below one chain's length of snapshots a
+   store never hits: each run's [vrp] snapshot is evicted before the
+   next lookup of it.) *)
+let test_store_shared_across_programs () =
+  let store = Pass.Store.create ~capacity:8 () in
+  let sample = Lazy.force store_sample in
+  let check ?wire chain name p =
+    let warm, _ = Pass.run ~store ?wire chain (Prog.copy p) in
+    let cold, _ = Pass.run ?wire chain (Prog.copy p) in
+    Alcotest.(check string) (name ^ ": program") (prog_bytes cold.Pass.prog)
+      (prog_bytes warm.Pass.prog);
+    Alcotest.(check bool) (name ^ ": VRS report") true
+      (report_view cold = report_view warm)
+  in
+  List.iter
+    (fun (name, p) ->
+      check epoch_chain name p;
+      check ~wire:(mk_wire ~epoch:1 p) (epoch_chain ^ ",zspec:cost=50")
+        (name ^ " with a wire profile") p)
+    sample;
+  let n = List.length sample in
+  List.iter
+    (fun (name, hits, misses) ->
+      let expected =
+        match name with
+        | "vrp" | "encode-widths" -> (n, n)
+        | "zspec" -> (0, n)
+        | _ -> (0, 2 * n)
+      in
+      Alcotest.(check (pair int int)) (name ^ " store stats") expected
+        (hits, misses))
+    (Pass.Store.pass_stats store);
+  Alcotest.(check int) "evictions" ((9 * n) - 8) (Pass.Store.evictions store)
 
 let () =
   Alcotest.run "pass"
@@ -333,10 +369,6 @@ let () =
             test_sweep_shares_front;
           Alcotest.test_case "epoch bump re-runs only the dependent suffix"
             `Quick test_epoch_reruns_dependent_suffix;
-          Alcotest.test_case "function mutation re-runs its VRP alone" `Quick
-            test_fn_granular_revrp;
-          Alcotest.test_case "fn-cache keeps the fragments in use" `Quick
-            test_fn_cache_keeps_fragments_in_use;
         ] );
       ( "identity",
         [
@@ -350,6 +382,8 @@ let () =
           Alcotest.test_case "rerun is fully cached" `Quick
             test_rerun_fully_cached;
           Alcotest.test_case "LRU bound" `Quick test_store_lru;
+          Alcotest.test_case "one store shared across programs" `Slow
+            test_store_shared_across_programs;
           Alcotest.test_case "config participates in the key" `Quick
             test_config_changes_key;
         ] );

@@ -603,6 +603,59 @@ let test_shard_cache_namespacing () =
           Alcotest.(check string) "restarted shard a rehydrates" "hit"
             (field (request path (analyze_req ())) "cache")))
 
+(* [line] with every non-ASCII character written as a [\u] escape (a
+   surrogate pair above U+FFFF), as Python's json.dumps writes it by
+   default.  Non-ASCII bytes only occur inside JSON strings, so the
+   result is the same JSON value. *)
+let ascii_escaped line =
+  let b = Buffer.create (String.length line) in
+  let rec go i =
+    if i < String.length line then begin
+      let d = String.get_utf_8_uchar line i in
+      let u = Uchar.to_int (Uchar.utf_decode_uchar d) in
+      if u < 0x80 then Buffer.add_char b line.[i]
+      else if u < 0x10000 then Buffer.add_string b (Printf.sprintf "\\u%04x" u)
+      else begin
+        let v = u - 0x10000 in
+        Buffer.add_string b
+          (Printf.sprintf "\\u%04x\\u%04x" (0xD800 lor (v lsr 10))
+             (0xDC00 lor (v land 0x3FF)))
+      end;
+      go (i + Uchar.utf_decode_length d)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* dotprod.mc has an em dash in a comment.  Sent with it escaped,
+   through the server's front and through the router's, the request is
+   the raw UTF-8 request: the same reply bytes, answered as a hit. *)
+let test_escaped_source_is_the_raw_request () =
+  let source =
+    In_channel.with_open_bin "../examples/dotprod.mc" In_channel.input_all
+  in
+  let raw =
+    J.to_string ~indent:false
+      (J.Obj
+         [ ("id", J.Str "dotprod"); ("source", J.Str source);
+           ("pass", J.Str "vrs") ])
+  in
+  let escaped = ascii_escaped raw in
+  Alcotest.(check bool) "the escaped line differs" false
+    (String.equal raw escaped);
+  with_server (fun path t ->
+      with_router path (fun r ->
+          Alcotest.(check string) "raw request computed" "miss"
+            (field (Server.handle_line t raw) "cache");
+          let hit = Server.handle_line t raw in
+          Alcotest.(check string) "raw request again" "hit" (field hit "cache");
+          List.iter
+            (fun (name, handle) ->
+              Alcotest.(check string) (name ^ ": escaped = raw") hit
+                (handle escaped))
+            [ ("serve", Server.handle_line t);
+              ("router", Router.handle_line r) ]))
+
 (* --- profile op / online specialization ------------------------------------ *)
 
 module Profile = Ogc_pass.Profile
@@ -763,6 +816,32 @@ let test_profile_store_keeps_pushed_program () =
           (J.get_string "route_key" j);
         Alcotest.(check int) "B's dropped epoch" 1 (J.get_int "epoch" j)
       | ls -> Alcotest.failf "%d profile-eviction lines" (List.length ls))
+
+(* A push merges into a copy and publishes it, and nothing writes to a
+   published profile: two finds with no push between them return the
+   same value, and a value found before a push keeps its epoch and
+   counts after it. *)
+let test_profile_store_publishes_copies () =
+  let module Store = Ogc_server.Profile_store in
+  let store = Store.create () in
+  let delta = Profile.collect (Ogc_minic.Minic.compile src) in
+  let find () =
+    match Store.find store "k" with
+    | Some p -> p
+    | None -> Alcotest.fail "program not found"
+  in
+  let bytes p = J.to_string ~indent:false (Profile.to_json p) in
+  Alcotest.(check int) "first push" 1 (Store.push store "k" delta);
+  let found = find () in
+  Alcotest.(check bool) "two finds share one value" true (found == find ());
+  let before = bytes found in
+  Alcotest.(check int) "second push" 2 (Store.push store "k" delta);
+  Alcotest.(check int) "found value keeps its epoch" 1 (Profile.epoch found);
+  Alcotest.(check string) "found value keeps its counts" before (bytes found);
+  let now = find () in
+  Alcotest.(check int) "published epoch" 2 (Profile.epoch now);
+  Alcotest.(check int) "published counts accumulate"
+    (2 * delta.Profile.p_total) now.Profile.p_total
 
 (* The stale-answer index holds 4 x cache_capacity request shapes and
    evicts the least recently noted one.  With capacity 2 (8 shapes),
@@ -1037,7 +1116,9 @@ let () =
          Alcotest.test_case "shard cache namespacing" `Quick
            test_shard_cache_namespacing;
          Alcotest.test_case "vrs compiles once" `Quick
-           test_vrs_compiles_once ]);
+           test_vrs_compiles_once;
+         Alcotest.test_case "escaped source is the raw request" `Quick
+           test_escaped_source_is_the_raw_request ]);
       ("profile",
        [ Alcotest.test_case "push round-trip" `Quick test_profile_roundtrip;
          Alcotest.test_case "concurrent pushes keep epochs monotonic" `Quick
@@ -1049,7 +1130,9 @@ let () =
          Alcotest.test_case "profile store keeps a program still pushed"
            `Quick test_profile_store_keeps_pushed_program;
          Alcotest.test_case "stale-answer index keeps a recent shape" `Quick
-           test_stale_index_keeps_recent_shape ]);
+           test_stale_index_keeps_recent_shape;
+         Alcotest.test_case "profile store publishes copies" `Quick
+           test_profile_store_publishes_copies ]);
       ("drain",
        [ Alcotest.test_case "stop drains cleanly" `Quick test_stop_drains;
          Alcotest.test_case "SIGINT drains cleanly" `Quick
