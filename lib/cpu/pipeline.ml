@@ -5,6 +5,7 @@ module Account = Ogc_energy.Account
 module Policy = Ogc_gating.Policy
 module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
+module Free_list = Ogc_exec.Free_list
 
 (* Timing-model telemetry: where each instruction's latency accrues.
    Stage deltas accumulate in local refs during the simulated run and
@@ -40,17 +41,31 @@ type stats = {
   checksum : int64;
 }
 
-(* Cycle-indexed resource reservation with an epoch-tagged ring, so no
+(* Cycle-indexed resource reservation with stamped slots, so no
    per-cycle clearing is needed.  The ring must be larger than the
-   farthest ahead any instruction can be scheduled. *)
+   farthest ahead any instruction can be scheduled.  A slot's stamp is
+   [base + cycle]; [reset] moves [base] past every stamp written so far,
+   which forgets all reservations in O(1) and lets the next run reuse
+   the arrays. *)
 module Ring = struct
-  type t = { used : int array; stamp : int array; size : int }
+  let size = 1 lsl 15
+  let mask = size - 1
 
-  let create size = { used = Array.make size 0; stamp = Array.make size (-1); size }
+  type t = {
+    used : int array;
+    stamp : int array;
+    mutable base : int;
+    mutable top : int;  (* one past the largest stamp written *)
+  }
+
+  let create () =
+    { used = Array.make size 0; stamp = Array.make size (-1); base = 0; top = 0 }
+
+  let reset t = t.base <- t.top
 
   let usage t cycle =
-    let i = cycle mod t.size in
-    if t.stamp.(i) = cycle then t.used.(i) else 0
+    let i = cycle land mask in
+    if t.stamp.(i) = t.base + cycle then t.used.(i) else 0
 
   (* First cycle >= [cycle] with spare capacity; reserves one slot. *)
   let take t ~cycle ~limit =
@@ -58,14 +73,100 @@ module Ring = struct
     while usage t !c >= limit do
       incr c
     done;
-    let i = !c mod t.size in
-    if t.stamp.(i) <> !c then begin
-      t.stamp.(i) <- !c;
+    let i = !c land mask in
+    let s = t.base + !c in
+    if t.stamp.(i) <> s then begin
+      t.stamp.(i) <- s;
       t.used.(i) <- 0
     end;
     t.used.(i) <- t.used.(i) + 1;
+    if s >= t.top then t.top <- s + 1;
     !c
 end
+
+(* Each run's five reservation rings (fetch, issue, ALU, mul/div,
+   commit), reused across runs as the interpreter reuses its memories. *)
+let ring_sets : Ring.t array Free_list.t = Free_list.create ()
+
+(* A static instruction as the timing model sees it, decoded once per
+   run on its first commit. *)
+type fu = Fu_none | Fu_alu | Fu_muldiv
+type kind = Load | Store | Call | Plain
+
+type decoded = {
+  op : Instr.t;  (* the decoded instruction, compared by [==] *)
+  width : Width.t;
+  uses : int array;  (* registers read *)
+  defs : int array;  (* registers written *)
+  reads : int;  (* register-file reads charged: the first two uses *)
+  kind : kind;
+  fu : fu;
+  occupancy : int;  (* cycles a [Fu_muldiv] operation holds the unit *)
+  latency : int;  (* execution latency, except for loads and stores *)
+  slot : int;  (* class × width counter *)
+  opcode : int;
+}
+
+let undecoded =
+  { op = Instr.Emit { src = Reg.zero }; width = Width.W64; uses = [||];
+    defs = [||]; reads = 0; kind = Plain; fu = Fu_none; occupancy = 0;
+    latency = 0; slot = 0; opcode = 0 }
+
+(* Iids index the per-run decode table.  Compiled code numbers them
+   densely from 0; an iid outside [0, max_cached_iid) (only hand-written
+   assembly has one) is decoded again at every commit instead. *)
+let max_cached_iid = 1 lsl 20
+
+let iclasses =
+  Instr.
+    [| C_add; C_sub; C_mul; C_and; C_or; C_xor; C_shift; C_cmp; C_cmov;
+       C_msk; C_load; C_store; C_move; C_call; C_other |]
+
+let widths = Array.of_list Width.all
+let n_slots = Array.length iclasses * Array.length widths
+let n_opcodes = List.length Encoding.all_opcodes
+
+let slot_of ic w =
+  let rec index i = if iclasses.(i) = ic then i else index (i + 1) in
+  let rec windex i = if Width.equal widths.(i) w then i else windex (i + 1) in
+  (index 0 * Array.length widths) + windex 0
+
+let decode (machine : Machine_config.t) op =
+  let uses = Array.of_list (List.map Reg.to_int (Instr.uses op)) in
+  let fu, occupancy, latency =
+    match op with
+    | Instr.Alu { op = Instr.Mul; _ } -> (Fu_muldiv, 1, machine.mul_latency)
+    | Instr.Alu { op = Instr.Div | Instr.Rem; _ } ->
+      (Fu_muldiv, machine.div_latency, machine.div_latency)
+    | Instr.Alu _ | Instr.Cmp _ | Instr.Cmov _ | Instr.Msk _ | Instr.Sext _
+    | Instr.Li _ | Instr.La _ -> (Fu_alu, 0, 1)
+    | Instr.Load _ | Instr.Store _ -> (Fu_alu, 0, 1) (* address generation *)
+    | Instr.Call _ | Instr.Emit _ -> (Fu_none, 0, 1)
+  in
+  { op;
+    width = Instr.width op;
+    uses;
+    defs = Array.of_list (List.map Reg.to_int (Instr.defs op));
+    reads = min 2 (Array.length uses);
+    kind =
+      (match op with
+      | Instr.Load _ -> Load
+      | Instr.Store _ -> Store
+      | Instr.Call _ -> Call
+      | _ -> Plain);
+    fu;
+    occupancy;
+    latency;
+    slot = slot_of (Instr.iclass op) (Instr.width op);
+    opcode = Encoding.opcode_to_int (Encoding.opcode_of op) }
+
+(* Store readiness by 8-byte word address. *)
+module Word_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash w = w land max_int
+end)
 
 let ipc s =
   if s.cycles = 0 then 0.0
@@ -97,6 +198,13 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
   Span.with_ ~name:"simulate"
     ~args:[ ("policy", Ogc_json.Json.Str (Policy.name policy)) ]
   @@ fun () ->
+  Free_list.with_ ring_sets ~fits:(fun _ -> true)
+    ~make:(fun () -> Array.init 5 (fun _ -> Ring.create ()))
+    ~reset:(Array.iter Ring.reset)
+  @@ fun rings ->
+  let fetch_ring = rings.(0) and issue_ring = rings.(1) and alu_ring = rings.(2)
+  and muldiv_ring = rings.(3) and commit_ring = rings.(4) in
+  let max (a : int) b = if a >= b then a else b in
   let obs = Metrics.enabled () in
   let st_frontend = ref 0 in
   let st_schedule = ref 0 in
@@ -118,12 +226,6 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
   let dcache = Cache.create machine.dcache in
   let l2 = Cache.create machine.l2 in
   let bpred = Bpred.of_config machine in
-  let ring_size = 1 lsl 15 in
-  let fetch_ring = Ring.create ring_size in
-  let issue_ring = Ring.create ring_size in
-  let alu_ring = Ring.create ring_size in
-  let muldiv_ring = Ring.create ring_size in
-  let commit_ring = Ring.create ring_size in
   let last_write = Array.make 32 0 in
   (* The single mul/div unit pipelines multiplies but a divide occupies it
      for its full latency (real integer dividers are not pipelined). *)
@@ -131,7 +233,7 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
   (* Memory dependences: a load may not issue before the last store to the
      same 8-byte word has produced its data (no speculative memory
      disambiguation).  Keyed by word address. *)
-  let store_ready : (int64, int) Hashtbl.t = Hashtbl.create 4096 in
+  let store_ready = Word_tbl.create 4096 in
   (* Branch target buffer: taken control transfers whose target is not
      cached cost a front-end bubble even when the direction is right. *)
   let btb = Cache.create { Machine_config.size_bytes = 4096; ways = 4;
@@ -140,7 +242,7 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
   let rob_commit = Array.make machine.window_size 0 in
   let n_dispatched = ref 0 in
   let fetch_head = ref 0 in
-  let last_fetch_line = ref Int64.minus_one in
+  let last_fetch_line = ref (-1) in
   let last_dispatch = ref 0 in
   let last_commit = ref 0 in
   let instructions = ref 0 in
@@ -150,8 +252,16 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
   let dcache_accesses = ref 0 in
   let dcache_misses = ref 0 in
   let l2_misses = ref 0 in
-  let class_width = Hashtbl.create 64 in
-  let opcode_counts = Hashtbl.create 128 in
+  (* Decoded instructions by iid, and the class × width and opcode
+     counters with each counter's first-seen order, so the tables built
+     at the end are the ones per-instruction inserts would have built. *)
+  let decoded =
+    ref (Array.make (min max_cached_iid (max 1 p.next_iid)) undecoded)
+  in
+  let slot_counts = Array.make n_slots 0 in
+  let slot_order = Array.make n_slots 0 and n_slot_order = ref 0 in
+  let opcode_totals = Array.make n_opcodes 0 in
+  let opcode_order = Array.make n_opcodes 0 and n_opcode_order = ref 0 in
   let sighist = Array.make 8 0 in
   let tags = Policy.tag_bits policy in
   let mem_tags =
@@ -159,23 +269,35 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
     | Tagged -> Policy.memory_tag_bits policy
     | Sign_extend -> 0
   in
-  let bump_class ic w =
-    let key = (ic, w) in
-    Hashtbl.replace class_width key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt class_width key))
+  let decoded_of iid op =
+    let tbl = !decoded in
+    if iid >= 0 && iid < Array.length tbl && tbl.(iid).op == op then tbl.(iid)
+    else begin
+      let d = decode machine op in
+      if iid >= 0 && iid < max_cached_iid then begin
+        if iid >= Array.length tbl then begin
+          let len = min max_cached_iid (max (iid + 1) (2 * Array.length tbl)) in
+          let grown = Array.make len undecoded in
+          Array.blit tbl 0 grown 0 (Array.length tbl);
+          decoded := grown
+        end;
+        !decoded.(iid) <- d
+      end;
+      d
+    end
   in
-  let bump_opcode op =
-    let key = Encoding.opcode_to_int (Encoding.opcode_of op) in
-    Hashtbl.replace opcode_counts key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt opcode_counts key))
+  let count counts order n i =
+    if counts.(i) = 0 then begin
+      order.(!n) <- i;
+      incr n
+    end;
+    counts.(i) <- counts.(i) + 1
   in
   let active w v = Policy.active_bytes policy ~width:w ~value:v in
   (* Front end: returns the fetch cycle of one instruction. *)
   let fetch pc =
-    let line =
-      Int64.of_int (pc / machine.icache.line_bytes)
-    in
-    if not (Int64.equal line !last_fetch_line) then begin
+    let line = pc / machine.icache.line_bytes in
+    if line <> !last_fetch_line then begin
       last_fetch_line := line;
       let addr = Int64.of_int pc in
       if not (Cache.access icache addr) then begin
@@ -218,16 +340,16 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
     incr n_dispatched;
     cc
   in
-  let issue ~earliest ~fu =
+  let issue ~earliest fu occupancy =
     let c = Ring.take issue_ring ~cycle:earliest ~limit:machine.issue_width in
     match fu with
-    | `Alu -> Ring.take alu_ring ~cycle:c ~limit:machine.int_alus
-    | `Muldiv occupancy ->
+    | Fu_alu -> Ring.take alu_ring ~cycle:c ~limit:machine.int_alus
+    | Fu_muldiv ->
       let c = max c !muldiv_free in
       let c = Ring.take muldiv_ring ~cycle:c ~limit:machine.int_muldiv in
       muldiv_free := c + occupancy;
       c
-    | `None -> c
+    | Fu_none -> c
   in
   let dcache_load addr =
     incr dcache_accesses;
@@ -259,75 +381,62 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
     incr instructions;
     match ev with
     | Interp.E_ins { iid; op; a; b; result; addr } ->
+      let d = decoded_of iid op in
       let pc = iid * 4 in
       let f = fetch pc in
       let dc = dispatch f in
-      let w = Instr.width op in
+      let w = d.width in
       frontend_energy ();
-      let uses = Instr.uses op in
-      let defs = Instr.defs op in
-      let ready =
-        List.fold_left (fun acc r -> max acc last_write.(Reg.to_int r)) dc uses
-      in
+      let ready = ref dc in
+      for k = 0 to Array.length d.uses - 1 do
+        ready := max !ready last_write.(d.uses.(k))
+      done;
       (* Instruction queue entry: payload scaled by the source operands. *)
       Account.charge energy Ep.Iq
         ~active_bytes:(max (active w a) (active w b))
         ~tag_bits:tags;
       (* Register reads. *)
-      List.iteri
-        (fun i _ ->
-          let v = if i = 0 then a else b in
-          Account.charge energy Ep.Regfile ~active_bytes:(active w v)
-            ~tag_bits:tags)
-        (match uses with [] -> [] | [ x ] -> [ x ] | x :: y :: _ -> [ x; y ]);
-      let fu =
-        match op with
-        | Instr.Alu { op = Instr.Mul; _ } -> `Muldiv 1 (* pipelined *)
-        | Instr.Alu { op = Instr.Div | Instr.Rem; _ } ->
-          `Muldiv machine.div_latency
-        | Instr.Alu _ | Instr.Cmp _ | Instr.Cmov _ | Instr.Msk _
-        | Instr.Sext _ | Instr.Li _ | Instr.La _ -> `Alu
-        | Instr.Load _ | Instr.Store _ -> `Alu (* address generation *)
-        | Instr.Call _ | Instr.Emit _ -> `None
-      in
+      if d.reads > 0 then
+        Account.charge energy Ep.Regfile ~active_bytes:(active w a)
+          ~tag_bits:tags;
+      if d.reads > 1 then
+        Account.charge energy Ep.Regfile ~active_bytes:(active w b)
+          ~tag_bits:tags;
+      let word = Int64.to_int (Int64.div addr 8L) in
       (* Loads wait for the latest conflicting store (no speculative
          memory disambiguation). *)
       let ready =
-        match op with
-        | Instr.Load _ ->
-          let word = Int64.div addr 8L in
-          max ready (Option.value ~default:0 (Hashtbl.find_opt store_ready word))
-        | _ -> ready
+        match d.kind with
+        | Load -> (
+          match Word_tbl.find_opt store_ready word with
+          | Some c -> max !ready c
+          | None -> !ready)
+        | Store | Call | Plain -> !ready
       in
-      let ic = issue ~earliest:(max ready (dc + 1)) ~fu in
+      let ic = issue ~earliest:(max ready (dc + 1)) d.fu d.occupancy in
       let latency =
-        match op with
-        | Instr.Alu { op = Instr.Mul; _ } -> machine.mul_latency
-        | Instr.Alu { op = Instr.Div | Instr.Rem; _ } -> machine.div_latency
-        | Instr.Alu _ | Instr.Cmp _ | Instr.Cmov _ | Instr.Msk _
-        | Instr.Sext _ | Instr.Li _ | Instr.La _ | Instr.Call _
-        | Instr.Emit _ -> 1
-        | Instr.Load _ -> dcache_load addr
-        | Instr.Store _ ->
+        match d.kind with
+        | Load -> dcache_load addr
+        | Store ->
           dcache_store addr;
           1
+        | Call | Plain -> d.latency
       in
-      (match op with
-      | Instr.Store _ -> Hashtbl.replace store_ready (Int64.div addr 8L) (ic + 1)
-      | _ -> ());
+      if d.kind = Store then Word_tbl.replace store_ready word (ic + 1);
       (* Execution energy. *)
-      (match fu with
-      | `Muldiv _ ->
+      (match d.fu with
+      | Fu_muldiv ->
         Account.charge energy Ep.Muldiv
           ~active_bytes:(max (active w a) (max (active w b) (active w result)))
           ~tag_bits:0
-      | `Alu ->
+      | Fu_alu ->
         Account.charge energy Ep.Alu
           ~active_bytes:(max (active w a) (max (active w b) (active w result)))
           ~tag_bits:0
-      | `None -> ());
-      if Instr.is_mem op then begin
-        let data = match op with Instr.Store _ -> b | _ -> result in
+      | Fu_none -> ());
+      (match d.kind with
+      | Load | Store ->
+        let data = if d.kind = Store then b else result in
         let mem_bytes =
           match memory_mode with
           | Tagged -> active w data
@@ -345,29 +454,33 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
         Account.charge energy Ep.Lsq ~active_bytes:mem_bytes ~tag_bits:mem_tags;
         Account.charge energy Ep.Dcache1 ~active_bytes:mem_bytes
           ~tag_bits:mem_tags
-      end;
+      | Call | Plain -> ());
       let complete = ic + latency in
-      (match (op, defs) with
-      | _, [] -> ()
-      | Instr.Call _, _ ->
+      if Array.length d.defs > 0 then begin
         (* A call produces no architectural value itself; the callee's
-           instructions (which follow in the trace) write the registers. *)
-        List.iter (fun r -> last_write.(Reg.to_int r) <- complete) defs
-      | _, _ ->
-        (* Result value: rename buffers (write + read at commit), write
-           back to the register file, result-bus transfer. *)
-        let ab = active w result in
-        Account.charge energy Ep.Rename_buffers ~active_bytes:ab ~tag_bits:tags;
-        Account.charge energy Ep.Rename_buffers ~active_bytes:ab ~tag_bits:tags;
-        Account.charge energy Ep.Regfile ~active_bytes:ab ~tag_bits:tags;
-        Account.charge energy Ep.Resultbus ~active_bytes:ab ~tag_bits:0;
-        List.iter (fun r -> last_write.(Reg.to_int r) <- complete) defs;
-        let k = Ogc_gating.Sigbytes.significant_bytes result in
-        sighist.(k - 1) <- sighist.(k - 1) + 1);
+           instructions (which follow in the trace) write the registers.
+           Any other result value goes through the rename buffers (write
+           + read at commit), the register file write and the result
+           bus. *)
+        if d.kind <> Call then begin
+          let ab = active w result in
+          Account.charge energy Ep.Rename_buffers ~active_bytes:ab ~tag_bits:tags;
+          Account.charge energy Ep.Rename_buffers ~active_bytes:ab ~tag_bits:tags;
+          Account.charge energy Ep.Regfile ~active_bytes:ab ~tag_bits:tags;
+          Account.charge energy Ep.Resultbus ~active_bytes:ab ~tag_bits:0
+        end;
+        for k = 0 to Array.length d.defs - 1 do
+          last_write.(d.defs.(k)) <- complete
+        done;
+        if d.kind <> Call then begin
+          let k = Ogc_gating.Sigbytes.significant_bytes result in
+          sighist.(k - 1) <- sighist.(k - 1) + 1
+        end
+      end;
       let cc = commit complete in
       attribute ~f ~dc ~ic ~complete ~cc;
-      bump_class (Instr.iclass op) w;
-      bump_opcode op
+      count slot_counts slot_order n_slot_order d.slot;
+      count opcode_totals opcode_order n_opcode_order d.opcode
     | Interp.E_branch { iid; taken; value; reg } ->
       let pc = iid * 4 in
       let f = fetch pc in
@@ -378,16 +491,11 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
       let predicted = Bpred.predict bpred ~pc in
       Bpred.update bpred ~pc ~taken;
       let src_ready = max dc last_write.(Reg.to_int reg) in
-      let ic = issue ~earliest:(max src_ready (dc + 1)) ~fu:`Alu in
-      Account.charge energy Ep.Regfile
-        ~active_bytes:(Policy.active_bytes policy ~width:Width.W64 ~value)
-        ~tag_bits:tags;
-      Account.charge energy Ep.Alu
-        ~active_bytes:(Policy.active_bytes policy ~width:Width.W64 ~value)
-        ~tag_bits:0;
-      Account.charge energy Ep.Iq
-        ~active_bytes:(Policy.active_bytes policy ~width:Width.W64 ~value)
-        ~tag_bits:tags;
+      let ic = issue ~earliest:(max src_ready (dc + 1)) Fu_alu 0 in
+      let ab = Policy.active_bytes policy ~width:Width.W64 ~value in
+      Account.charge energy Ep.Regfile ~active_bytes:ab ~tag_bits:tags;
+      Account.charge energy Ep.Alu ~active_bytes:ab ~tag_bits:0;
+      Account.charge energy Ep.Iq ~active_bytes:ab ~tag_bits:tags;
       let complete = ic + 1 in
       if predicted <> taken then begin
         incr mispredictions;
@@ -412,7 +520,7 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
       let f = fetch pc in
       let dc = dispatch f in
       frontend_energy ();
-      let ic = issue ~earliest:(dc + 1) ~fu:`Alu in
+      let ic = issue ~earliest:(dc + 1) Fu_alu 0 in
       let complete = ic + 1 in
       let cc = commit complete in
       attribute ~f ~dc ~ic ~complete ~cc
@@ -436,6 +544,19 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
         Metrics.add c (float_of_int v))
       m_stage_cycles
   end;
+  let class_width = Hashtbl.create 64 in
+  for k = 0 to !n_slot_order - 1 do
+    let slot = slot_order.(k) in
+    let nw = Array.length widths in
+    Hashtbl.replace class_width
+      (iclasses.(slot / nw), widths.(slot mod nw))
+      slot_counts.(slot)
+  done;
+  let opcode_counts = Hashtbl.create 128 in
+  for k = 0 to !n_opcode_order - 1 do
+    let op = opcode_order.(k) in
+    Hashtbl.replace opcode_counts op opcode_totals.(op)
+  done;
   {
     cycles;
     instructions = !instructions;

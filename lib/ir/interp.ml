@@ -1,4 +1,6 @@
 open Ogc_isa
+module Free_list = Ogc_exec.Free_list
+module Span = Ogc_obs.Span
 
 exception Fault of string
 
@@ -53,18 +55,69 @@ let address_of_global p name =
 
 let max_emitted_kept = 64
 
+(* Flat memories are reused across runs.  A run marks each 64 KiB page
+   it writes (the global images, then both end pages of every store,
+   which cover it: no store is wider than a page) and zeroes exactly
+   the marked pages when it ends, however it ends, so every run starts
+   from all-zero memory without clearing or allocating [mem_size]
+   bytes. *)
+let page_bits = 16
+
+type memory = {
+  bytes : Bytes.t;
+  marked : Bytes.t;  (* one byte per page, ['\001'] once written *)
+  dirty : int array;  (* the marked pages, in its first [ndirty] slots *)
+  mutable ndirty : int;
+}
+
+let memories : memory Free_list.t = Free_list.create ()
+
+let new_memory size =
+  let pages = (size + (1 lsl page_bits) - 1) lsr page_bits in
+  { bytes = Bytes.make size '\000';
+    marked = Bytes.make pages '\000';
+    dirty = Array.make pages 0;
+    ndirty = 0 }
+
+let mark m page =
+  if Bytes.get m.marked page = '\000' then begin
+    Bytes.set m.marked page '\001';
+    m.dirty.(m.ndirty) <- page;
+    m.ndirty <- m.ndirty + 1
+  end
+
+let wipe m =
+  let size = Bytes.length m.bytes in
+  for k = 0 to m.ndirty - 1 do
+    let page = m.dirty.(k) in
+    let a = page lsl page_bits in
+    Bytes.fill m.bytes a (min (1 lsl page_bits) (size - a)) '\000';
+    Bytes.set m.marked page '\000'
+  done;
+  m.ndirty <- 0
+
 type frame = { rf : Prog.func; rb : int; ri : int }
 
 let run ?(config = default_config) ?on_event ?bb_counts ?profile (p : Prog.t) =
-  let mem = Bytes.make config.mem_size '\000' in
+  Span.with_ ~name:"interp" @@ fun () ->
+  Free_list.with_ memories
+    ~fits:(fun m -> Bytes.length m.bytes = config.mem_size)
+    ~make:(fun () -> new_memory config.mem_size)
+    ~reset:wipe
+  @@ fun m ->
+  let mem = m.bytes in
   (* Install global images. *)
   let gaddrs = global_addresses p in
   List.iter
     (fun (g : Prog.global) ->
       let a = Int64.to_int (Int64.sub (List.assoc g.gname gaddrs) virtual_base) in
-      if a + Bytes.length g.init > config.mem_size then
+      let len = Bytes.length g.init in
+      if a + len > config.mem_size then
         fault "global %s does not fit in memory" g.gname;
-      Bytes.blit g.init 0 mem a (Bytes.length g.init))
+      for page = a lsr page_bits to (a + len - 1) lsr page_bits do
+        mark m page
+      done;
+      Bytes.blit g.init 0 mem a len)
     p.globals;
   let regs = Array.make (1 + Prog.max_reg p) 0L in
   regs.(Reg.to_int Reg.sp) <-
@@ -97,6 +150,8 @@ let run ?(config = default_config) ?on_event ?bb_counts ?profile (p : Prog.t) =
   let store w a v =
     let size = Width.bytes w in
     let a = check_mem a size in
+    mark m (a lsr page_bits);
+    mark m ((a + size - 1) lsr page_bits);
     match w with
     | Width.W8 -> Bytes.set_int8 mem a (Int64.to_int (Int64.logand v 0xFFL))
     | Width.W16 ->
@@ -141,7 +196,7 @@ let run ?(config = default_config) ?on_event ?bb_counts ?profile (p : Prog.t) =
   let emitted = ref [] and emitted_n = ref 0 in
   let steps = ref 0 in
   let budget = config.max_steps in
-  let stack : frame list ref = ref [] in
+  let stack : frame list ref = ref [] and depth = ref 0 in
   let exception Halt in
   (* Current position. *)
   let cur_f = ref (try Prog.find_func p "main" with Not_found -> fault "no main")
@@ -239,7 +294,8 @@ let run ?(config = default_config) ?on_event ?bb_counts ?profile (p : Prog.t) =
         | None -> fault "call to unknown function %s" callee
       in
       stack := { rf = !cur_f; rb = !cur_b; ri = !cur_i + 1 } :: !stack;
-      if List.length !stack > 100_000 then fault "call stack overflow";
+      incr depth;
+      if !depth > 100_000 then fault "call stack overflow";
       cur_f := f;
       cur_b := 0;
       cur_i := 0;
@@ -274,6 +330,7 @@ let run ?(config = default_config) ?on_event ?bb_counts ?profile (p : Prog.t) =
       | [] -> raise_notrace Halt
       | fr :: rest ->
         stack := rest;
+        decr depth;
         cur_f := fr.rf;
         cur_b := fr.rb;
         cur_i := fr.ri)

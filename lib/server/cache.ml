@@ -111,26 +111,36 @@ let insert_locked t key value =
     Metrics.gauge_set m_bytes t.mem_bytes
   end
 
-let find t key =
+(* A lookup; [count] says whether it moves the hit/miss counters. *)
+let lookup t key ~count =
   Mutex.protect t.m (fun () ->
       match Lru.find t.mem key with
       | Some value ->
-        t.hits <- t.hits + 1;
-        Metrics.incr m_hits_mem;
+        if count then begin
+          t.hits <- t.hits + 1;
+          Metrics.incr m_hits_mem
+        end;
         Some value
       | None -> (
         match read_disk t key with
         | Some value ->
           (* Disk hit: promote into the in-memory tier. *)
           insert_locked t key value;
-          t.hits <- t.hits + 1;
-          t.disk_hits <- t.disk_hits + 1;
-          Metrics.incr m_hits_disk;
+          if count then begin
+            t.hits <- t.hits + 1;
+            t.disk_hits <- t.disk_hits + 1;
+            Metrics.incr m_hits_disk
+          end;
           Some value
         | None ->
-          t.misses <- t.misses + 1;
-          Metrics.incr m_misses;
+          if count then begin
+            t.misses <- t.misses + 1;
+            Metrics.incr m_misses
+          end;
           None))
+
+let find t key = lookup t key ~count:true
+let find_uncounted t key = lookup t key ~count:false
 
 let store t key value =
   Mutex.protect t.m (fun () ->

@@ -44,6 +44,12 @@ val create : ?capacity:int -> ?dir:string -> unit -> t
 val find : t -> string -> string option
 (** Memory first, then disk; updates hit/miss counters and recency. *)
 
+val find_uncounted : t -> string -> string option
+(** {!find} that leaves the hit/miss counters (and
+    [ogc_cache_hits_total]/[ogc_cache_misses_total]) as they are.  The
+    server's stale answers look up with it: the server's [stats] count
+    them once, as [profile.stale_served]. *)
+
 val store : t -> string -> string -> unit
 (** Idempotent: re-storing an existing key keeps the first value. *)
 

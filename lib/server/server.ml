@@ -277,7 +277,7 @@ let serve_stale t (r : Front.request) ~(req : Protocol.request) ~rkey ~wire
     with
     | None -> None
     | Some (e_old, old_key) -> (
-      match Cache.find t.cache old_key with
+      match Cache.find_uncounted t.cache old_key with
       | None -> None
       | Some payload ->
         schedule_respec t ~req ~rkey ~wire ~epoch ~key ~base_key;

@@ -386,6 +386,159 @@ let test_machine_config_rows () =
   Alcotest.(check int) "window" 64 Mc.default.Mc.window_size;
   Alcotest.(check int) "phys regs" 96 Mc.default.Mc.phys_regs
 
+(* --- reuse across runs ---------------------------------------------------------- *)
+
+(* Runs reuse the interpreter's memory and the reservation rings through
+   free lists; a run must not see anything an earlier one left behind. *)
+let reuse_p = {|
+  long a[64];
+  long f(long x) { return x * 3 + x / 7; }
+  int main() {
+    long s = 0;
+    for (int i = 0; i < 300; i++) {
+      a[i & 63] = f(i) + s;
+      s += a[(i * 5) & 63] % 11;
+      if (s > 1000) s -= 977;
+    }
+    emit(s);
+    return 0;
+  }
+|}
+
+let reuse_q = {|
+  long b[4096];
+  int main() {
+    long t = 1;
+    for (int i = 0; i < 4096; i++) {
+      b[(i * 7) & 4095] = b[i] + t * i;
+      t = (t * 5 + b[(i * 3) & 4095]) % 1000003;
+    }
+    emit(t);
+    return 0;
+  }
+|}
+
+let bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+
+let energy_bits (s : Pipeline.stats) =
+  Int64.bits_of_float (Ogc_energy.Account.spill_traffic s.Pipeline.energy)
+  :: List.map
+       (fun (_, e) -> Int64.bits_of_float e)
+       (Ogc_energy.Account.by_structure s.Pipeline.energy)
+
+let check_same_stats what (a : Pipeline.stats) (b : Pipeline.stats) =
+  let int name f = Alcotest.(check int) (what ^ ": " ^ name) (f a) (f b) in
+  int "cycles" (fun s -> s.Pipeline.cycles);
+  int "instructions" (fun s -> s.Pipeline.instructions);
+  int "branches" (fun s -> s.Pipeline.branches);
+  int "mispredictions" (fun s -> s.Pipeline.mispredictions);
+  int "icache misses" (fun s -> s.Pipeline.icache_misses);
+  int "dcache accesses" (fun s -> s.Pipeline.dcache_accesses);
+  int "dcache misses" (fun s -> s.Pipeline.dcache_misses);
+  int "l2 misses" (fun s -> s.Pipeline.l2_misses);
+  Alcotest.(check (list int64)) (what ^ ": energy bits") (energy_bits a)
+    (energy_bits b);
+  Alcotest.(check bool) (what ^ ": class_width") true
+    (bindings a.Pipeline.class_width = bindings b.Pipeline.class_width);
+  Alcotest.(check bool) (what ^ ": opcode_counts") true
+    (bindings a.Pipeline.opcode_counts = bindings b.Pipeline.opcode_counts);
+  Alcotest.(check (array int)) (what ^ ": sigbyte histogram")
+    a.Pipeline.sigbyte_histogram b.Pipeline.sigbyte_histogram;
+  Alcotest.(check int64) (what ^ ": checksum") a.Pipeline.checksum
+    b.Pipeline.checksum
+
+let narrowed src =
+  let p = Minic.compile src in
+  ignore (Ogc_core.Vrp.run p);
+  p
+
+let test_reuse_is_exact () =
+  let p = narrowed reuse_p and q = narrowed reuse_q in
+  let spill iid = if iid mod 3 = 0 then Some 4 else None in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun (mode_name, memory_mode) ->
+          List.iter
+            (fun (spill_name, spill_bytes_of) ->
+              let sim prog =
+                Pipeline.simulate ~memory_mode ?spill_bytes_of ~policy prog
+              in
+              let first = sim p in
+              let longer = sim q in
+              Alcotest.(check bool) "q runs longer than p" true
+                (longer.Pipeline.cycles > 2 * first.Pipeline.cycles);
+              check_same_stats
+                (String.concat "/" [ Policy.name policy; mode_name; spill_name ])
+                first (sim p))
+            [ ("no-spill", None); ("spill", Some spill) ])
+        [ ("tagged", Pipeline.Tagged); ("sign-extend", Pipeline.Sign_extend) ])
+    Policy.all
+
+let test_concurrent_domains () =
+  let p = narrowed reuse_p and q = narrowed reuse_q in
+  let sim prog = Pipeline.simulate ~policy:Policy.Sw_plus_significance prog in
+  let seq_p = sim p and seq_q = sim q in
+  let repeat prog () = List.init 3 (fun _ -> sim prog) in
+  let dp = Domain.spawn (repeat p) and dq = Domain.spawn (repeat q) in
+  let par_p = Domain.join dp and par_q = Domain.join dq in
+  List.iter (check_same_stats "p in a domain" seq_p) par_p;
+  List.iter (check_same_stats "q in a domain" seq_q) par_q
+
+(* Iids index the model's decode table; hand-written assembly may
+   number instructions from anywhere.  A loop numbered from [first]
+   must simulate like any other: every committed instruction counted,
+   the same checksum. *)
+let counted_loop ~first =
+  let open Ogc_isa in
+  let open Ogc_ir in
+  let counter = ref (first - 1) in
+  let fresh_iid () = incr counter; !counter in
+  let r = Reg.of_int in
+  let b = Builder.create ~fresh_iid ~fname:"main" ~arity:0 in
+  let entry = Builder.new_block b in
+  let loop = Builder.new_block b in
+  let exit = Builder.new_block b in
+  let ins i = ignore (Builder.ins b i) in
+  Builder.switch_to b entry;
+  ins (Instr.Li { dst = r 1; imm = 100L });
+  Builder.terminate b (Prog.Jump loop);
+  Builder.switch_to b loop;
+  ins (Instr.Alu { op = Instr.Sub; width = Width.W64; src1 = r 1;
+                   src2 = Instr.Imm 1L; dst = r 1 });
+  ins (Instr.Emit { src = r 1 });
+  Builder.terminate b
+    (Prog.Branch { cond = Instr.Ne; src = r 1; if_true = loop; if_false = exit });
+  Builder.switch_to b exit;
+  Builder.terminate b Prog.Return;
+  Prog.create [ Builder.finish b ~frame_size:0 ]
+
+let test_any_iids () =
+  let dense = Pipeline.simulate ~policy:Policy.No_gating (counted_loop ~first:0) in
+  List.iter
+    (fun first ->
+      let s = Pipeline.simulate ~policy:Policy.No_gating (counted_loop ~first) in
+      let what = Printf.sprintf "iids from %d" first in
+      Alcotest.(check int) (what ^ ": instructions") dense.Pipeline.instructions
+        s.Pipeline.instructions;
+      Alcotest.(check int64) (what ^ ": checksum") dense.Pipeline.checksum
+        s.Pipeline.checksum)
+    [ -1000; 1 lsl 40 ]
+
+let test_no_per_run_allocation () =
+  let p = Minic.compile reuse_p in
+  let sim () = ignore (Pipeline.simulate ~policy:Policy.No_gating p) in
+  sim ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to 20 do
+    sim ()
+  done;
+  let added = (Gc.quick_stat ()).Gc.major_words -. before in
+  Printf.printf "20 runs added %.0f major-heap words\n" added;
+  Alcotest.(check bool)
+    (Printf.sprintf "20 runs add %.0f major-heap words (< 1M)" added)
+    true (added < 1e6)
+
 let () =
   Alcotest.run "cpu"
     [
@@ -421,5 +574,15 @@ let () =
           Alcotest.test_case "memory modes (§2.4)" `Quick test_memory_modes;
           Alcotest.test_case "machine variants" `Quick test_machine_variants;
           Alcotest.test_case "machine config" `Quick test_machine_config_rows;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "later run equals first run" `Quick
+            test_reuse_is_exact;
+          Alcotest.test_case "concurrent domains equal sequential runs" `Quick
+            test_concurrent_domains;
+          Alcotest.test_case "no per-run major allocation" `Quick
+            test_no_per_run_allocation;
+          Alcotest.test_case "negative and huge iids" `Quick test_any_iids;
         ] );
     ]

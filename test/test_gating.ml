@@ -78,6 +78,49 @@ let prop_sigbytes_minimal =
       let zext = Int64.shift_right_logical (Int64.shift_left v shift) shift in
       (not (Int64.equal sext v)) && not (Int64.equal zext v))
 
+(* [Sigbytes.significant_bytes] is a chain of range comparisons; the
+   reference is the byte loop it replaced: the smallest k whose low k
+   bytes, sign- or zero-extended, give the value back. *)
+let byte_loop_significant_bytes v =
+  let rec go k =
+    if k >= 8 then 8
+    else
+      let shift = 64 - (k * 8) in
+      let sext = Int64.shift_right (Int64.shift_left v shift) shift in
+      let zext = Int64.shift_right_logical (Int64.shift_left v shift) shift in
+      if Int64.equal sext v || Int64.equal zext v then k else go (k + 1)
+  in
+  go 1
+
+(* 2^k - 1, 2^k, 2^k + 1 and their negations for k = 0..63. *)
+let power_of_two_edges =
+  List.concat_map
+    (fun k ->
+      let p = Int64.shift_left 1L k in
+      List.concat_map
+        (fun v -> [ v; Int64.neg v ])
+        [ Int64.pred p; p; Int64.succ p ])
+    (List.init 64 Fun.id)
+
+(* Random values of every magnitude: a random word shifted down to k+1
+   significant bits, for k drawn uniformly from 0..63. *)
+let any_magnitude =
+  QCheck.Gen.(
+    map2 (fun k v -> Int64.shift_right v (63 - k)) (int_range 0 63) ui64)
+
+let prop_sigbytes_matches_byte_loop =
+  QCheck.Test.make ~name:"significant bytes equal the byte loop" ~count:20000
+    (QCheck.make ~print:Int64.to_string
+       QCheck.Gen.(frequency [ (3, any_magnitude); (1, oneofl power_of_two_edges) ]))
+    (fun v -> Sigbytes.significant_bytes v = byte_loop_significant_bytes v)
+
+let test_sigbytes_power_of_two_edges () =
+  List.iter
+    (fun v ->
+      Alcotest.(check int) (Int64.to_string v) (byte_loop_significant_bytes v)
+        (Sigbytes.significant_bytes v))
+    power_of_two_edges
+
 (* The software policy's byte-width tags must agree with the energy
    accounting in Savings_table: re-encoding to a width with fewer active
    bytes never costs energy, the table is antisymmetric with a zero
@@ -150,13 +193,16 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "significant bytes" `Quick test_sigbytes;
+          Alcotest.test_case "significant bytes at powers of two" `Quick
+            test_sigbytes_power_of_two_edges;
           Alcotest.test_case "size classes" `Quick test_size_class;
           Alcotest.test_case "policies" `Quick test_policies;
           Alcotest.test_case "tags" `Quick test_tags;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_sigbytes_roundtrip; prop_sigbytes_minimal; prop_policy_bounds ]
+          [ prop_sigbytes_roundtrip; prop_sigbytes_minimal;
+            prop_sigbytes_matches_byte_loop; prop_policy_bounds ]
       );
       ( "savings",
         List.map QCheck_alcotest.to_alcotest

@@ -314,6 +314,98 @@ let test_interp_budget () =
       (String.length msg > 0)
   | _ -> Alcotest.fail "expected a step-budget fault"
 
+(* Interpreter memory is reused across runs: whatever a run writes, and
+   however it ends, the next run must start from all-zero memory.  The
+   writer's global is non-zero and spans two 64 KiB pages; the writer
+   stores into its first word, 1 MiB below the initial stack pointer,
+   into the last word of memory and across a page boundary, then ends as
+   [finish] says.  The reader has no globals and loads the stored words
+   and the global's last word, on a page only its image wrote. *)
+let mem_size = Interp.default_config.Interp.mem_size
+let at off = Int64.add Interp.virtual_base (Int64.of_int off)
+let global_bytes = 0x12000
+
+let stored_addresses =
+  [ at 4096;  (* the global's first word *)
+    at (mem_size - 64 - (1 lsl 20));  (* 1 MiB below the initial sp *)
+    at (mem_size - 8);  (* the last word of memory *)
+    at ((4 lsl 16) - 4) (* an 8-byte store straddling a page boundary *) ]
+
+let read_addresses = at (4096 + global_bytes - 8) :: stored_addresses
+
+let straight_line ?globals ~body ~finish () =
+  let counter = ref 0 in
+  let fresh_iid () = incr counter; !counter in
+  let b = Builder.create ~fresh_iid ~fname:"main" ~arity:0 in
+  let entry = Builder.new_block b in
+  let spin = Builder.new_block b in
+  Builder.switch_to b entry;
+  List.iter (fun i -> ignore (Builder.ins b i)) body;
+  let term =
+    match finish with
+    | `Return -> Prog.Return
+    | `Oob_store ->
+      ignore (Builder.ins b (Instr.Li { dst = r 1; imm = at mem_size }));
+      ignore (Builder.ins b (Instr.Store { width = Width.W8; base = r 1;
+                                           offset = 0L; src = r 2 }));
+      Prog.Return
+    | `Spin -> Prog.Jump spin
+  in
+  Builder.terminate b term;
+  Builder.switch_to b spin;
+  Builder.terminate b (Prog.Jump spin);
+  Prog.create ?globals [ Builder.finish b ~frame_size:0 ]
+
+let writer finish =
+  let store a =
+    [ Instr.Li { dst = r 1; imm = a };
+      Instr.Store { width = Width.W64; base = r 1; offset = 0L; src = r 2 } ]
+  in
+  straight_line ~finish
+    ~globals:[ { Prog.gname = "g"; init = Bytes.make global_bytes '\xab' } ]
+    ~body:(Instr.Li { dst = r 2; imm = 0x0102_0304_0506_0708L }
+           :: List.concat_map store stored_addresses)
+    ()
+
+let reader () =
+  let load a =
+    [ Instr.Li { dst = r 1; imm = a };
+      Instr.Load { width = Width.W64; signed = false; base = r 1;
+                   offset = 0L; dst = r 3 };
+      Instr.Emit { src = r 3 } ]
+  in
+  straight_line ~finish:`Return ~body:(List.concat_map load read_addresses) ()
+
+let check_reader_sees_zeros what =
+  Alcotest.(check (list int64)) (what ^ ": next run reads zeros")
+    (List.map (fun _ -> 0L) read_addresses)
+    (Interp.run (reader ())).Interp.emitted
+
+let test_interp_memory_reuse () =
+  let w = writer `Return in
+  let out = Interp.run w in
+  Alcotest.(check int) "writer ran to its return" 10 out.Interp.steps;
+  check_reader_sees_zeros "return";
+  (match Interp.run (writer `Oob_store) with
+  | exception Interp.Fault _ -> ()
+  | _ -> Alcotest.fail "expected an out-of-bounds fault");
+  check_reader_sees_zeros "out-of-bounds fault";
+  (match
+     Interp.run ~config:{ Interp.default_config with max_steps = 100 }
+       (writer `Spin)
+   with
+  | exception Interp.Fault _ -> ()
+  | _ -> Alcotest.fail "expected a step-budget fault");
+  check_reader_sees_zeros "step budget";
+  let stop_at_return = function
+    | Interp.E_return _ -> raise Exit
+    | _ -> ()
+  in
+  (match Interp.run ~on_event:stop_at_return (writer `Return) with
+  | exception Exit -> ()
+  | _ -> Alcotest.fail "expected the hook's exception");
+  check_reader_sees_zeros "hook raised"
+
 let test_interp_bb_counts () =
   let p = compile {|
     int main() {
@@ -475,6 +567,8 @@ let () =
           Alcotest.test_case "calls" `Quick test_interp_calls;
           Alcotest.test_case "oob fault" `Quick test_interp_fault_oob;
           Alcotest.test_case "step budget" `Quick test_interp_budget;
+          Alcotest.test_case "reused memory starts zeroed" `Quick
+            test_interp_memory_reuse;
           Alcotest.test_case "bb counts" `Quick test_interp_bb_counts;
           Alcotest.test_case "events" `Quick test_interp_events;
           Alcotest.test_case "global layout" `Quick test_global_addresses;

@@ -725,6 +725,12 @@ let test_stale_while_revalidate () =
         (field r2 "profile_epoch");
       Alcotest.(check string) "stale payload is the epoch-0 artifact"
         (result_bytes r1) (result_bytes r2);
+      (* A stale answer is counted as [stale_served], never as a
+         result-cache hit: [cache.hits] counts the "hit" answers only. *)
+      let cache_hits () =
+        J.get_int "hits" (J.member "cache" (Server.stats_json t))
+      in
+      Alcotest.(check int) "stale answer is not a cache hit" 0 (cache_hits ());
       (* The background re-specialization lands: polling converges to a
          fresh-epoch cache hit. *)
       let deadline = Unix.gettimeofday () +. 30.0 in
@@ -739,6 +745,7 @@ let test_stale_while_revalidate () =
           converge ()
       in
       converge ();
+      Alcotest.(check int) "one hit answer, one cache hit" 1 (cache_hits ());
       let prof = J.member "profile" (Server.stats_json t) in
       Alcotest.(check bool) "stale answers counted" true
         (J.get_int "stale_served" prof >= 1);
