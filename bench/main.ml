@@ -128,8 +128,7 @@ let run_fleet_bench () =
       shards
   in
   let router =
-    Router.create (Router.default_config ~addr:(Net.Unix_sock rpath)
-                     ~shards:targets)
+    Router.create { Router.addr = Net.Unix_sock rpath; shards = targets }
   in
   let rth = Thread.create Router.run router in
   let requests = 240 in

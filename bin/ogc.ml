@@ -8,8 +8,15 @@
      analyze    run a named pass chain (see `ogc passes`)
      passes     list the registered analysis passes
      sim        simulate on the Table 2 machine with a gating policy
+     diff       compare the width profiles of two versions of a program
+     trace      dynamic trace window, phase-span trace, or fleet trace
      report     regenerate the paper's tables and figures
-     workloads  list the benchmark suite *)
+     workloads  list the benchmark suite
+     fuzz       differential fuzzing against the reference interpreter
+     serve      run the optimization service
+     submit     send one request to a running service
+     router     route requests across a fleet of serve shards
+     loadgen    replay a synthetic submission stream against a service *)
 
 open Cmdliner
 module Minic = Ogc_minic.Minic
@@ -509,27 +516,11 @@ let report_cmd =
                    ($(b,OGC_JOBS) or the machine's recommended domain \
                    count).")
   in
-  let json_out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Also write the gated result rows and phase timings as \
-                   JSON (the bench/CI interchange format).")
-  in
-  let baseline =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Gate against a previous $(b,--json) file: exit 3 when \
-                   any row regressed, 65 when FILE is malformed or of an \
-                   older format (re-bless it), 66 when it is unreadable.")
-  in
-  let run quick only experiment jobs json_out baseline =
+  let run quick only experiment jobs =
     wrap (fun () ->
         let only = if only = [] then None else Some only in
-        (* Read the baseline up front so a bad path/file fails before the
-           expensive collection, not after it. *)
-        let gate = Option.map Ogc_harness.Results.baseline_gate baseline in
-        let res, phases =
-          Ogc_harness.Results.collect_timed ~quick ?only ~jobs
+        let res =
+          Ogc_harness.Results.collect ~quick ?only ~jobs
             ~progress:(fun s -> Fmt.epr "[%s] %!" s)
             ()
         in
@@ -547,18 +538,12 @@ let report_cmd =
         if experiment = [] then
           print_string
             (Ogc_harness.Experiments.render_headline
-               (Ogc_harness.Experiments.headline res));
-        (match json_out with
-        | None -> ()
-        | Some path ->
-          Ogc_harness.Results.write_json path ~phases res;
-          Fmt.epr "wrote %s@." path);
-        Option.iter (fun gate -> gate res) gate)
+               (Ogc_harness.Experiments.headline res)))
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Regenerate the paper's tables and figures on the workload suite")
-    Term.(const run $ quick $ only $ experiment $ jobs $ json_out $ baseline)
+    Term.(const run $ quick $ only $ experiment $ jobs)
 
 (* --- serve / submit ----------------------------------------------------------- *)
 
@@ -588,6 +573,53 @@ let addr_term =
   in
   let combine socket tcp = Option.value tcp ~default:(Net.Unix_sock socket) in
   Term.(const combine $ socket $ tcp)
+
+(* The flags [serve] and [router] share.  The term yields their
+   application, which each daemon runs first inside [wrap]: a bad
+   --log-level is then an ordinary error.  A daemon always records
+   metrics, since the `metrics` op and the extended `stats` op read
+   them. *)
+let daemon_term =
+  let quiet =
+    Arg.(value & flag
+         & info [ "quiet" ]
+             ~doc:"Suppress lifecycle messages (same as \
+                   $(b,--log-level=error)).")
+  in
+  let log_level =
+    Arg.(value & opt (some string) None
+         & info [ "log-level" ] ~docv:"LEVEL"
+             ~doc:"Structured-log threshold: $(b,debug), $(b,info), \
+                   $(b,warn) or $(b,error).  Logs are NDJSON on stderr.")
+  in
+  let trace =
+    Arg.(value & flag
+         & info [ "trace" ]
+             ~doc:"Record request and pass spans; the $(i,trace) op \
+                   returns them, and a router's also pulls every shard's \
+                   and stamps forwarded requests with trace context (see \
+                   $(b,ogc trace --fleet)).")
+  in
+  let slow_ms =
+    Arg.(value & opt (some float) None
+         & info [ "slow-ms" ] ~docv:"MS"
+             ~doc:"Auto-capture: log the flight record (plus the local \
+                   span slice of its trace) of any request slower than \
+                   MS.")
+  in
+  let apply quiet log_level trace slow_ms () =
+    (match log_level with
+    | None -> ()
+    | Some s -> (
+      match Log.level_of_string s with
+      | Some l -> Log.set_level l
+      | None -> Fmt.failwith "bad --log-level %S" s));
+    if quiet then Log.set_level Log.Error;
+    Metrics.set_enabled true;
+    if trace then Span.set_enabled true;
+    Ogc_obs.Flight.set_slow_ms slow_ms
+  in
+  Term.(const apply $ quiet $ log_level $ trace $ slow_ms)
 
 let serve_cmd =
   let jobs =
@@ -619,31 +651,6 @@ let serve_cmd =
                    $(i,DIR/shard-ID) so co-located shards never share \
                    cache files, and tags the $(i,stats) op.")
   in
-  let quiet =
-    Arg.(value & flag
-         & info [ "quiet" ]
-             ~doc:"Suppress lifecycle messages (same as \
-                   $(b,--log-level=error)).")
-  in
-  let log_level =
-    Arg.(value & opt (some string) None
-         & info [ "log-level" ] ~docv:"LEVEL"
-             ~doc:"Structured-log threshold: $(b,debug), $(b,info), \
-                   $(b,warn) or $(b,error).  Logs are NDJSON on stderr.")
-  in
-  let trace =
-    Arg.(value & flag
-         & info [ "trace" ]
-             ~doc:"Record request and pass spans; the $(i,trace) op \
-                   returns them (see $(b,ogc trace --fleet)).")
-  in
-  let slow_ms =
-    Arg.(value & opt (some float) None
-         & info [ "slow-ms" ] ~docv:"MS"
-             ~doc:"Auto-capture: log the flight record (plus the local \
-                   span slice of its trace) of any request slower than \
-                   MS.")
-  in
   let inject_slow_ms =
     Arg.(value & opt (some float) None
          & info [ "inject-slow-ms" ] ~docv:"MS"
@@ -651,20 +658,10 @@ let serve_cmd =
                    this a deliberately slow shard (hedging and \
                    slow-capture smoke tests).")
   in
-  let run addr jobs queue_limit cache_size cache_dir shard_id quiet log_level
-      trace slow_ms inject_slow_ms =
+  let run addr jobs queue_limit cache_size cache_dir shard_id daemon
+      inject_slow_ms =
     wrap (fun () ->
-        (match log_level with
-        | None -> ()
-        | Some s -> (
-          match Log.level_of_string s with
-          | Some l -> Log.set_level l
-          | None -> Fmt.failwith "bad --log-level %S" s));
-        if quiet then Log.set_level Log.Error;
-        (* The daemon is the metrics consumer: enable recording so the
-           `metrics` op and the extended `stats` op have data. *)
-        Metrics.set_enabled true;
-        if trace then Span.set_enabled true;
+        daemon ();
         let cfg =
           { Server.addr;
             jobs;
@@ -672,7 +669,6 @@ let serve_cmd =
             cache_capacity = cache_size;
             cache_dir;
             shard_id;
-            slow_ms;
             inject_slow_ms }
         in
         let t =
@@ -688,7 +684,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the optimization service (NDJSON over a socket)")
     Term.(const run $ addr_term $ jobs $ queue_limit $ cache_size $ cache_dir
-          $ shard_id $ quiet $ log_level $ trace $ slow_ms $ inject_slow_ms)
+          $ shard_id $ daemon_term $ inject_slow_ms)
 
 (* The delta `--push-profile auto` streams: the program run locally at
    train scale, like the server's chain front compiles it. *)
@@ -920,93 +916,13 @@ let router_cmd =
                    socket path or HOST:PORT, optionally prefixed \
                    $(i,NAME=).  At least one is required.")
   in
-  let replicas =
-    Arg.(value & opt int 2
-         & info [ "replicas" ] ~docv:"R"
-             ~doc:"Copies of a promoted hot result, primary included.")
-  in
-  let promote_after =
-    Arg.(value & opt int 3
-         & info [ "promote-after" ] ~docv:"N"
-             ~doc:"Result-key hits before replication kicks in.")
-  in
-  let hedge_ms =
-    Arg.(value & opt (some float) None
-         & info [ "hedge-ms" ] ~docv:"MS"
-             ~doc:"Fixed hedge threshold (default: adaptive, ~2x a \
-                   recent p95).")
-  in
-  let pool_size =
-    Arg.(value & opt int 8
-         & info [ "pool-size" ] ~docv:"N"
-             ~doc:"Connections kept per shard.")
-  in
-  let max_waiters =
-    Arg.(value & opt int 64
-         & info [ "max-waiters" ] ~docv:"N"
-             ~doc:"Requests queued per shard pool before failing over \
-                   (backpressure).")
-  in
-  let request_timeout =
-    Arg.(value & opt int 30_000
-         & info [ "request-timeout-ms" ] ~docv:"MS"
-             ~doc:"Overall per-request budget across hedges and \
-                   failovers.")
-  in
-  let quiet =
-    Arg.(value & flag
-         & info [ "quiet" ]
-             ~doc:"Suppress lifecycle messages (same as \
-                   $(b,--log-level=error)).")
-  in
-  let log_level =
-    Arg.(value & opt (some string) None
-         & info [ "log-level" ] ~docv:"LEVEL"
-             ~doc:"Structured-log threshold: $(b,debug), $(b,info), \
-                   $(b,warn) or $(b,error).")
-  in
-  let trace =
-    Arg.(value & flag
-         & info [ "trace" ]
-             ~doc:"Record router spans and stamp forwarded requests with \
-                   trace context; the $(i,trace) op then assembles the \
-                   whole fleet's trace (see $(b,ogc trace --fleet)).")
-  in
-  let slow_ms =
-    Arg.(value & opt (some float) None
-         & info [ "slow-ms" ] ~docv:"MS"
-             ~doc:"Auto-capture: log the flight record (plus the local \
-                   span slice of its trace) of any request slower than \
-                   MS.")
-  in
-  let run addr shards replicas promote_after hedge_ms pool_size max_waiters
-      request_timeout quiet log_level trace slow_ms =
+  let run addr shards daemon =
     wrap (fun () ->
-        (match log_level with
-        | None -> ()
-        | Some s -> (
-          match Log.level_of_string s with
-          | Some l -> Log.set_level l
-          | None -> Fmt.failwith "bad --log-level %S" s));
-        if quiet then Log.set_level Log.Error;
+        daemon ();
         if shards = [] then Fmt.failwith "at least one --shard is required";
-        Metrics.set_enabled true;
-        if trace then Span.set_enabled true;
-        (match slow_ms with
-        | Some _ -> Ogc_obs.Flight.set_slow_ms slow_ms
-        | None -> ());
-        let targets = List.mapi parse_shard shards in
-        let cfg =
-          { (Router.default_config ~addr ~shards:targets) with
-            replicas;
-            promote_after;
-            hedge_ms;
-            pool_size;
-            max_waiters;
-            request_timeout_ms = request_timeout }
-        in
+        let shards = List.mapi parse_shard shards in
         let t =
-          try Router.create cfg
+          try Router.create { Router.addr; shards }
           with Unix.Unix_error (e, fn, arg) ->
             Fmt.failwith "cannot listen: %s %s: %s" fn arg
               (Unix.error_message e)
@@ -1018,9 +934,7 @@ let router_cmd =
     (Cmd.info "router"
        ~doc:"Route requests across a fleet of serve shards \
              (consistent hashing, hedging, hot-key replication)")
-    Term.(const run $ addr_term $ shards $ replicas $ promote_after
-          $ hedge_ms $ pool_size $ max_waiters $ request_timeout $ quiet
-          $ log_level $ trace $ slow_ms)
+    Term.(const run $ addr_term $ shards $ daemon_term)
 
 let loadgen_cmd =
   let requests =
@@ -1037,24 +951,6 @@ let loadgen_cmd =
          & info [ "warm-ratio" ] ~docv:"F"
              ~doc:"Probability a submission replays an earlier one \
                    byte-for-byte (result-cache hits).")
-  in
-  let no_cost_sweep =
-    Arg.(value & flag
-         & info [ "no-cost-sweep" ]
-             ~doc:"Disable the VRS cost sweep over the shared program \
-                   set (on by default; it exercises chain-prefix \
-                   artifact reuse).")
-  in
-  let workloads =
-    Arg.(value & opt_all string []
-         & info [ "workload" ] ~docv:"NAME"
-             ~doc:"Mix this benchmark workload into the cold stream \
-                   (repeatable).")
-  in
-  let programs =
-    Arg.(value & opt int 6
-         & info [ "programs" ] ~docv:"N"
-             ~doc:"Distinct synthetic MiniC programs in the stream.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Stream seed.") in
   let retries =
@@ -1094,17 +990,14 @@ let loadgen_cmd =
                    trace id (0 = never); a fleet running with \
                    $(b,--trace) records their distributed spans.")
   in
-  let run addr requests clients warm_ratio no_cost_sweep workloads programs
-      seed retries kill_after kill_pid max_p50 max_p95 json trace_sample =
+  let run addr requests clients warm_ratio seed retries kill_after kill_pid
+      max_p50 max_p95 json trace_sample =
     wrap (fun () ->
         let cfg =
           { (Loadgen.default_config ~addr) with
             requests;
             clients;
             warm_ratio;
-            cost_sweep = not no_cost_sweep;
-            workloads;
-            programs;
             seed;
             retries;
             trace_sample }
@@ -1152,9 +1045,9 @@ let loadgen_cmd =
     (Cmd.info "loadgen"
        ~doc:"Replay a deterministic synthetic submission stream against \
              a server or fleet, with latency gates and fault injection")
-    Term.(const run $ addr_term $ requests $ clients $ warm_ratio
-          $ no_cost_sweep $ workloads $ programs $ seed $ retries
-          $ kill_after $ kill_pid $ max_p50 $ max_p95 $ json $ trace_sample)
+    Term.(const run $ addr_term $ requests $ clients $ warm_ratio $ seed
+          $ retries $ kill_after $ kill_pid $ max_p50 $ max_p95 $ json
+          $ trace_sample)
 
 (* --- analyze / passes ------------------------------------------------------ *)
 

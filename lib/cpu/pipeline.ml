@@ -193,8 +193,8 @@ let width_distribution s =
     Width.all
 
 let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
-    ?(interp_config = Interp.default_config) ?(memory_mode = Tagged)
-    ?(spill_bytes_of = fun _ -> None) ~policy (p : Prog.t) =
+    ?(memory_mode = Tagged) ?(spill_bytes_of = fun _ -> None) ~policy
+    (p : Prog.t) =
   Span.with_ ~name:"simulate"
     ~args:[ ("policy", Ogc_json.Json.Str (Policy.name policy)) ]
   @@ fun () ->
@@ -525,7 +525,7 @@ let simulate ?(machine = Machine_config.default) ?(params = Ep.default)
       let cc = commit complete in
       attribute ~f ~dc ~ic ~complete ~cc
   in
-  let outcome = Interp.run ~config:interp_config ~on_event:on_ins p in
+  let outcome = Interp.run ~on_event:on_ins p in
   let cycles = !last_commit + 1 in
   Account.charge_fixed energy Ep.Clock cycles;
   if obs then begin

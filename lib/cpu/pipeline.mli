@@ -50,7 +50,6 @@ type stats = {
 val simulate :
   ?machine:Machine_config.t ->
   ?params:Ogc_energy.Energy_params.t ->
-  ?interp_config:Interp.config ->
   ?memory_mode:memory_mode ->
   ?spill_bytes_of:(int -> int option) ->
   policy:Ogc_gating.Policy.t ->

@@ -10,9 +10,6 @@ type config = {
   requests : int;
   clients : int;
   warm_ratio : float;
-  cost_sweep : bool;
-  workloads : string list;
-  programs : int;
   seed : int;
   retries : int;
   trace_sample : int;
@@ -23,9 +20,6 @@ let default_config ~addr =
     requests = 200;
     clients = 4;
     warm_ratio = 0.5;
-    cost_sweep = true;
-    workloads = [];
-    programs = 6;
     seed = 42;
     retries = 5;
     trace_sample = 0 }
@@ -70,23 +64,13 @@ let source_of pid =
     (3 + pid)
     (0x0F + ((pid mod 3) * 0x30))
 
+let programs = 6
 let costs = [| 30; 50; 70; 90; 110 |]
 
-let cold_line cfg rs i =
-  let payload =
-    if
-      cfg.workloads <> []
-      && Random.State.float rs 1.0 < 0.25
-    then
-      ( "workload",
-        J.Str
-          (List.nth cfg.workloads
-             (Random.State.int rs (List.length cfg.workloads))) )
-    else
-      ("source", J.Str (source_of (Random.State.int rs (max 1 cfg.programs))))
-  in
+let cold_line rs i =
+  let payload = ("source", J.Str (source_of (Random.State.int rs programs))) in
   let pass_members =
-    if cfg.cost_sweep && Random.State.float rs 1.0 < 0.7 then
+    if Random.State.float rs 1.0 < 0.7 then
       [ ("pass", J.Str "vrs");
         ("cost", J.Int costs.(Random.State.int rs (Array.length costs))) ]
     else if Random.State.bool rs then [ ("pass", J.Str "vrp") ]
@@ -109,7 +93,7 @@ let request_line cfg i =
     let rs = Random.State.make [| cfg.seed; i |] in
     if i > 0 && Random.State.float rs 1.0 < cfg.warm_ratio then
       gen (Random.State.int rs i)
-    else cold_line cfg rs i
+    else cold_line rs i
   in
   gen i
 

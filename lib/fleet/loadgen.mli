@@ -6,9 +6,9 @@
     [seed]: request [i] is either a {e warm} replay of an earlier
     request (probability [warm_ratio] — a byte-identical resubmission,
     so a result-cache hit on whichever shard owns it) or a {e cold}
-    submission drawn from a small family of synthetic MiniC programs
-    and, optionally, named benchmark workloads.  Cold requests sweep the
-    VRS cost labels across a shared program set, so a fleet routed by
+    submission of one of six synthetic MiniC programs.  Seven cold
+    requests in ten are VRS analyses at a cost label drawn from
+    30/50/70/90/110, the rest VRP or no pass, so a fleet routed by
     program identity exercises chain-prefix artifact reuse exactly like
     the paper's cost sweep.
 
@@ -31,9 +31,6 @@ type config = {
   requests : int;
   clients : int;  (** parallel connections / worker domains *)
   warm_ratio : float;  (** probability a request replays an earlier one *)
-  cost_sweep : bool;  (** sweep VRS costs over the shared program set *)
-  workloads : string list;  (** benchmark names mixed into the cold stream *)
-  programs : int;  (** distinct synthetic MiniC programs *)
   seed : int;
   retries : int;  (** attempts per submission before counting it failed *)
   trace_sample : int;
@@ -43,8 +40,8 @@ type config = {
 }
 
 val default_config : addr:Ogc_net.Net.addr -> config
-(** 200 requests, 4 clients, [warm_ratio = 0.5], cost sweep on, no
-    workloads, 6 programs, [seed = 42], 5 retries, no trace sampling. *)
+(** 200 requests, 4 clients, [warm_ratio = 0.5], [seed = 42], 5
+    retries, no trace sampling. *)
 
 type report = {
   total : int;

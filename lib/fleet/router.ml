@@ -11,26 +11,19 @@ module Lru = Ogc_exec.Lru
 
 type target = { t_name : string; t_addr : Net.addr }
 
-type config = {
-  addr : Net.addr;
-  shards : target list;
-  pool_size : int;
-  max_waiters : int;
-  replicas : int;
-  promote_after : int;
-  hedge_ms : float option;
-  request_timeout_ms : int;
-}
+type config = { addr : Net.addr; shards : target list }
 
-let default_config ~addr ~shards =
-  { addr;
-    shards;
-    pool_size = 8;
-    max_waiters = 64;
-    replicas = 2;
-    promote_after = 3;
-    hedge_ms = None;
-    request_timeout_ms = 30_000 }
+(* The router's tuning, the same for every fleet: connections pooled per
+   shard and acquires that may queue for one before an attempt fails
+   over; the copies of a promoted hot result (primary included) and the
+   hit that promotes it; the budget of one request across its hedges and
+   failovers; and where the adaptive hedge threshold starts. *)
+let pool_size = 8
+let max_waiters = 64
+let replicas = 2
+let promote_after = 3
+let request_budget = 30.0 (* seconds *)
+let initial_hedge = 0.025 (* seconds *)
 
 (* --- bounded per-shard connection pools ------------------------------------ *)
 
@@ -39,8 +32,6 @@ exception Backpressure
 module Conns = struct
   type t = {
     addr : Net.addr;
-    size : int;
-    max_waiters : int;
     m : Mutex.t;
     cond : Condition.t;
     mutable idle : Net.conn list;
@@ -48,10 +39,8 @@ module Conns = struct
     mutable waiters : int;
   }
 
-  let create ~size ~max_waiters addr =
+  let create addr =
     { addr;
-      size = max 1 size;
-      max_waiters = max 0 max_waiters;
       m = Mutex.create ();
       cond = Condition.create ();
       idle = [];
@@ -67,7 +56,7 @@ module Conns = struct
         Mutex.unlock t.m;
         c
       | [] ->
-        if t.live < t.size then begin
+        if t.live < pool_size then begin
           t.live <- t.live + 1;
           Mutex.unlock t.m;
           (* Connect outside the lock; a slow handshake must not block
@@ -81,7 +70,7 @@ module Conns = struct
             Mutex.unlock t.m;
             raise e
         end
-        else if t.waiters >= t.max_waiters then begin
+        else if t.waiters >= max_waiters then begin
           Mutex.unlock t.m;
           raise Backpressure
         end
@@ -168,9 +157,7 @@ let create cfg =
         ( s.t_name,
           { name = s.t_name;
             s_addr = s.t_addr;
-            s_conns =
-              Conns.create ~size:cfg.pool_size ~max_waiters:cfg.max_waiters
-                s.t_addr;
+            s_conns = Conns.create s.t_addr;
             down_until = 0.0;
             m_requests =
               Metrics.counter "ogc_router_shard_requests_total"
@@ -206,22 +193,18 @@ let create cfg =
     unavailable = 0;
     promotions = 0;
     hits = Lru.create 8192;
-    hedge_threshold =
-      Option.fold ~none:0.025 ~some:(fun ms -> ms /. 1000.0) cfg.hedge_ms }
+    hedge_threshold = initial_hedge }
 
 (* --- adaptive hedge threshold ---------------------------------------------- *)
 
 (* Hedge at ~2x a recent p95 of the front's latency window: rare
    stragglers trigger a second copy, the common case never pays for
    one.  Clamped so a pathological window can neither hedge every
-   request nor disable hedging.  A pinned [hedge_ms] is set once, in
-   [create], and holds from the first request. *)
+   request nor disable hedging. *)
 let recompute_threshold t =
-  if t.cfg.hedge_ms = None then
-    let p95_s = Front.percentile_ms t.front 0.95 /. 1000.0 in
-    let budget = float_of_int t.cfg.request_timeout_ms /. 1000.0 in
-    t.hedge_threshold <-
-      Float.min (budget /. 4.0) (Float.max 0.002 (2.0 *. p95_s))
+  let p95_s = Front.percentile_ms t.front 0.95 /. 1000.0 in
+  t.hedge_threshold <-
+    Float.min (request_budget /. 4.0) (Float.max 0.002 (2.0 *. p95_s))
 
 (* --- candidate selection --------------------------------------------------- *)
 
@@ -233,17 +216,17 @@ let recompute_threshold t =
 let candidates t rkey ~hits ~promoted =
   let names = Ring.successors t.ring rkey (List.length t.cfg.shards) in
   let names =
-    if promoted && t.cfg.replicas > 1 then begin
-      let r = min t.cfg.replicas (List.length names) in
+    if promoted then begin
+      let r = min replicas (List.length names) in
       let rec split n acc = function
         | rest when n = 0 -> (List.rev acc, rest)
         | x :: rest -> split (n - 1) (x :: acc) rest
         | [] -> (List.rev acc, [])
       in
-      let replicas, rest = split r [] names in
+      let set, rest = split r [] names in
       let k = hits mod r in
-      let rot = List.filteri (fun i _ -> i >= k) replicas
-                @ List.filteri (fun i _ -> i < k) replicas in
+      let rot = List.filteri (fun i _ -> i >= k) set
+                @ List.filteri (fun i _ -> i < k) set in
       rot @ rest
     end
     else names
@@ -343,7 +326,7 @@ let forward t (r : Front.request) ~hedge ?traced cands =
   let cell =
     { cm = Mutex.create (); response = None; launched = 0; errored = 0 }
   in
-  let deadline = t0 +. (float_of_int t.cfg.request_timeout_ms /. 1000.0) in
+  let deadline = t0 +. request_budget in
   let remaining = ref cands in
   let attempt_no = ref 0 in
   let launch why =
@@ -439,9 +422,9 @@ let replicate t ckey rkey result =
            ("result", result) ])
   in
   let targets =
-    match Ring.successors t.ring rkey t.cfg.replicas with
+    match Ring.successors t.ring rkey replicas with
     | [] -> []
-    | _primary :: replicas -> replicas
+    | _primary :: others -> others
   in
   let failed sh error =
     if Metrics.enabled () then Metrics.incr sh.m_put_failures;
@@ -468,7 +451,7 @@ let replicate t ckey rkey result =
 (* The first ok answer at [promote_after] hits promotes the key, once
    per entry in [hits]. *)
 let maybe_promote t ckey rkey ~hits ~promoted resp =
-  if t.cfg.replicas > 1 && hits >= t.cfg.promote_after && not promoted then
+  if hits >= promote_after && not promoted then
     match J.of_string resp with
     | exception J.Parse_error _ -> ()
     | j -> (
@@ -664,7 +647,7 @@ let run t =
         ("addr", J.Str (Net.addr_string t.cfg.addr));
         ("shards",
          J.Arr (List.map (fun (n, _) -> J.Str n) t.shard_tbl));
-        ("replicas", J.Int t.cfg.replicas) ];
+        ("replicas", J.Int replicas) ];
   Net.run t.listener (handle_line t) ~on_drain:(fun () ->
       Log.info "ogc-router: draining" ~fields:[]);
   List.iter (fun (_, sh) -> Conns.close_idle sh.s_conns) t.shard_tbl;

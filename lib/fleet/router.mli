@@ -11,33 +11,34 @@
     compute any request; the ring only decides which caches stay warm.
 
     {b Pools and backpressure.}  Each shard gets a bounded connection
-    pool ([pool_size] sockets, lazily opened).  When every connection is
-    busy, up to [max_waiters] requests queue per shard; beyond that the
-    attempt fails fast and the request falls through to the next replica
-    — backpressure surfaces as failover, not as unbounded queueing.
+    pool (8 sockets, lazily opened; connects time out after
+    {!Ogc_net.Net.connect}'s 1 s).  When every connection is busy, up to
+    64 requests queue per shard; beyond that the attempt fails fast and
+    the request falls through to the next replica — backpressure
+    surfaces as failover, not as unbounded queueing.
 
     {b Hedging.}  A request that has not answered within the hedge
     threshold gets a second copy sent to the ring's next replica; the
     first response wins (the straggler still completes and returns its
     connection, keeping the NDJSON stream in sync).  The threshold
-    adapts to the observed latency distribution (roughly 2x a recent
-    p95, recomputed continuously) or is pinned with [hedge_ms], which
-    holds from the first request.
+    adapts to the observed latency distribution: it starts at 25 ms and,
+    every 64 analyses, becomes 2x the p95 of the front's latency window,
+    clamped to [2 ms, 7.5 s].
     Resent analyses are idempotent — both shards compute the same
     content-addressed result — so hedging is always safe.
 
     {b Failover.}  A connection failure or pool overload marks the shard
     down for a cooldown and moves the request to the next distinct ring
     successor, through the whole fleet if necessary; only when every
-    shard has failed does the client see [{"status":"unavailable"}].
+    shard has failed, or the 30 s request budget runs out, does the
+    client see [{"status":"unavailable"}].
 
     {b Replication.}  The router counts hits per result key, for the
     8192 most recently requested keys (an exact LRU, {!Ogc_exec.Lru}:
     an evicted key starts again from zero and loses its promotion).
-    When a key reaches [promote_after] hits it is promoted: its result
-    payload is pushed ([put]) to the next [replicas - 1] ring
-    successors, and subsequent requests for the hot key rotate across
-    the replica set.
+    At its third hit a key is promoted: its result payload is pushed
+    ([put]) to the next ring successor, and subsequent requests for the
+    hot key alternate between the primary and that replica.
     A hedged or failed-over request for a promoted key is then a result
     cache hit on the replica instead of a recompute.  A put that fails
     is logged at warn with the shard and the error, and counted in
@@ -67,18 +68,7 @@ type target = { t_name : string; t_addr : Ogc_net.Net.addr }
 type config = {
   addr : Ogc_net.Net.addr;  (** where the router listens *)
   shards : target list;
-  pool_size : int;  (** connections per shard *)
-  max_waiters : int;  (** queued acquires per shard before failover *)
-  replicas : int;  (** copies of a promoted hot result, primary included *)
-  promote_after : int;  (** result-key hits before promotion *)
-  hedge_ms : float option;  (** fixed hedge threshold; [None] = adaptive *)
-  request_timeout_ms : int;  (** overall per-request budget *)
 }
-
-val default_config : addr:Ogc_net.Net.addr -> shards:target list -> config
-(** [pool_size = 8], [max_waiters = 64], [replicas = 2],
-    [promote_after = 3], adaptive hedging, [request_timeout_ms = 30_000].
-    Shard connects time out after {!Ogc_net.Net.connect}'s 1 s. *)
 
 type t
 

@@ -167,9 +167,9 @@ val without_timings : t -> t
 (** {1 Gated rows}
 
     Everything the regression gate compares is one flat list of scalar
-    rows, each carrying its own gate.  [bench --json] and
-    [ogc report --json] write them (one line per row, plus the phase
-    timings), and [--baseline] reads them back. *)
+    rows, each carrying its own gate.  [bench --json] writes them (one
+    line per row, plus the phase timings), and [bench --baseline] reads
+    them back. *)
 
 type gate =
   | Exact  (** any change regresses *)

@@ -3,7 +3,6 @@ module Pool = Ogc_exec.Pool
 module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
 module Log = Ogc_obs.Log
-module Flight = Ogc_obs.Flight
 module Clock = Ogc_obs.Clock
 module Net = Ogc_net.Net
 module Lru = Ogc_exec.Lru
@@ -38,7 +37,6 @@ type config = {
   cache_capacity : int;
   cache_dir : string option;
   shard_id : string option;
-  slow_ms : float option; (* flight-recorder slow-request threshold *)
   inject_slow_ms : float option; (* fault injection: delay every analyze *)
 }
 
@@ -49,7 +47,6 @@ let default_config addr =
     cache_capacity = 256;
     cache_dir = None;
     shard_id = None;
-    slow_ms = None;
     inject_slow_ms = None }
 
 type t = {
@@ -82,7 +79,14 @@ type t = {
   mutable puts : int;  (* replication put ops accepted *)
   mutable stale_served : int;  (* previous-epoch answers served *)
   mutable respecs : int;  (* background re-specializations completed *)
+  mutable respecs_dropped : int;  (* re-specializations the queue refused *)
 }
+
+(* The pass store always holds one whole chain: the longest that
+   [Protocol.build] runs is VRS with its zspec tail, six passes.  A
+   smaller store never hits, because each run evicts its own first
+   snapshot before the next run looks it up. *)
+let longest_chain = 6
 
 (* --- socket setup --------------------------------------------------------- *)
 
@@ -91,9 +95,6 @@ let create cfg =
   let name =
     match cfg.shard_id with Some i -> "shard-" ^ i | None -> "serve"
   in
-  (match cfg.slow_ms with
-  | Some _ -> Flight.set_slow_ms cfg.slow_ms
-  | None -> ());
   (* Co-located shards sharing a cache_dir get disjoint subdirectories,
      so their atomic tmp+rename writes can never collide on one path. *)
   let cache_dir =
@@ -108,7 +109,7 @@ let create cfg =
     front = Front.create ~name;
     pool = Pool.create ?jobs:cfg.jobs ();
     cache = Cache.create ~capacity:cfg.cache_capacity ?dir:cache_dir ();
-    passes = Store.create ~capacity:cfg.cache_capacity ();
+    passes = Store.create ~capacity:(max longest_chain cfg.cache_capacity) ();
     profiles = Profile_store.create ~capacity:cfg.cache_capacity ();
     pending = Atomic.make 0;
     started = Clock.now ();
@@ -120,17 +121,19 @@ let create cfg =
     expired = 0;
     puts = 0;
     stale_served = 0;
-    respecs = 0 }
+    respecs = 0;
+    respecs_dropped = 0 }
 
 (* --- stats ----------------------------------------------------------------- *)
 
 let stats_json t =
   let c = Cache.stats t.cache in
-  let ( analyses, rejected, expired, puts, stale_served, respecs,
+  let ( analyses, rejected, expired, puts, stale_served, respecs, dropped,
         (indexed, index_evictions) ) =
     Mutex.protect t.m (fun () ->
         ( t.analyses, t.rejected, t.expired, t.puts, t.stale_served,
-          t.respecs, (Lru.length t.served, Lru.evictions t.served) ))
+          t.respecs, t.respecs_dropped,
+          (Lru.length t.served, Lru.evictions t.served) ))
   in
   let lookups = c.Cache.hits + c.Cache.misses in
   J.Obj
@@ -177,6 +180,7 @@ let stats_json t =
             ("evictions", J.Int evictions);
             ("stale_served", J.Int stale_served);
             ("respecializations", J.Int respecs);
+            ("respecializations_dropped", J.Int dropped);
             ("stale_index",
              J.Obj
                [ ("entries", J.Int indexed);
@@ -203,10 +207,10 @@ let note_served_locked t ~base_key ~epoch ~key =
 
 (* One background re-specialization per (request shape, epoch),
    admission-gated by the same bounded queue as foreground analyses;
-   when the queue is full the respec is simply dropped — the next stale
-   hit retries.  The task records a synthetic "respec" flight entry so
-   the recorder shows background work next to the requests that rode on
-   stale answers while it ran. *)
+   when the queue is full the respec is dropped, counted and logged — the
+   next stale hit retries.  The task records a synthetic "respec" flight
+   entry so the recorder shows background work next to the requests that
+   rode on stale answers while it ran. *)
 let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
     ~base_key =
   let fresh =
@@ -220,7 +224,14 @@ let schedule_respec t ~(req : Protocol.request) ~rkey ~wire ~epoch ~key
   if fresh then begin
     if Atomic.fetch_and_add t.pending 1 >= t.cfg.queue_limit then begin
       Atomic.decr t.pending;
-      Mutex.protect t.m (fun () -> Hashtbl.remove t.respec_inflight key)
+      Mutex.protect t.m (fun () ->
+          Hashtbl.remove t.respec_inflight key;
+          t.respecs_dropped <- t.respecs_dropped + 1);
+      Log.warn "ogc-serve: respecialization dropped"
+        ~fields:
+          [ ("route_key", J.Str rkey);
+            ("epoch", J.Int epoch);
+            ("queue_limit", J.Int t.cfg.queue_limit) ]
     end
     else begin
       let submitted = Clock.now () in

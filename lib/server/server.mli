@@ -43,16 +43,15 @@ type config = {
   addr : Ogc_net.Net.addr;
   jobs : int option;  (** worker domains; [None] = [Pool.default_jobs] *)
   queue_limit : int;  (** in-flight analyses before shedding load *)
-  cache_capacity : int;  (** in-memory cache entries *)
+  cache_capacity : int;
+      (** entries of the result cache and of the profile store; the pass
+          store holds [max 6 cache_capacity] artifacts, one whole chain
+          at least *)
   cache_dir : string option;  (** persistent cache tier, if any *)
   shard_id : string option;
       (** fleet shard name; namespaces [cache_dir] as
           [cache_dir/shard-<id>] so co-located shards never race on one
           atomic-write path, and is echoed in [stats] *)
-  slow_ms : float option;
-      (** requests slower than this auto-capture their
-          {!Ogc_obs.Flight} record (plus the local span slice of their
-          trace) into the structured log; [None] disables *)
   inject_slow_ms : float option;
       (** fault injection: delay every analyze by this much, to make a
           deliberately slow shard for hedging/auto-capture smoke tests *)
@@ -86,8 +85,9 @@ val stats_json : t -> Ogc_json.Json.t
 (** The same counters the ["stats"] op reports: requests, cache
     hit/miss/eviction counts and byte footprint (both tiers), per-pass
     artifact-store hit/miss counts and store evictions (["passes"]),
-    the profile store, stale-answer index and VRP fn-cache with their
-    evictions (["profile"]), latency percentiles plus per-op latency
+    the profile store and stale-answer index with their evictions, and
+    the background re-specializations completed and dropped
+    (["profile"]), latency percentiles plus per-op latency
     histograms (from {!Ogc_obs.Metrics}; all-zero unless metrics are
     enabled), pool utilization. *)
 

@@ -191,28 +191,32 @@ let stop_shard sp =
   Thread.join sp.sp_th;
   if Sys.file_exists sp.sp_path then Sys.remove sp.sp_path
 
-let with_fleet ?(n = 3) ?(router_cfg = fun c -> c) f =
-  let shards = List.init n (fun i -> start_shard (Printf.sprintf "s%d" i)) in
+(* A router in front of [targets], (name, socket path) pairs. *)
+let with_router targets f =
   let rpath = sock_path () in
-  let targets =
+  let shards =
     List.map
-      (fun sp ->
-        { Router.t_name = sp.sp_name; t_addr = Net.Unix_sock sp.sp_path })
-      shards
+      (fun (name, path) ->
+        { Router.t_name = name; t_addr = Net.Unix_sock path })
+      targets
   in
-  let cfg =
-    router_cfg
-      (Router.default_config ~addr:(Net.Unix_sock rpath) ~shards:targets)
-  in
-  let r = Router.create cfg in
+  let r = Router.create { Router.addr = Net.Unix_sock rpath; shards } in
   let rth = Thread.create Router.run r in
   Fun.protect
     ~finally:(fun () ->
       Router.stop r;
       Thread.join rth;
-      List.iter stop_shard shards;
       if Sys.file_exists rpath then Sys.remove rpath)
-    (fun () -> f rpath r shards)
+    (fun () -> f rpath r)
+
+let with_fleet ?(n = 3) f =
+  let shards = List.init n (fun i -> start_shard (Printf.sprintf "s%d" i)) in
+  Fun.protect
+    ~finally:(fun () -> List.iter stop_shard shards)
+    (fun () ->
+      with_router
+        (List.map (fun sp -> (sp.sp_name, sp.sp_path)) shards)
+        (fun rpath r -> f rpath r shards))
 
 (* A fake shard that answers every request line, but only after
    [delay] seconds — an injected straggler for the hedging test. *)
@@ -340,6 +344,8 @@ let test_router_routes_and_caches () =
         "unsupported_protocol"
         (field (request rpath {|{"proto":777,"op":"ping"}|}) "status"))
 
+(* A fresh router's hedge threshold is 25 ms, so its first request
+   hedges past the 2 s straggler. *)
 let test_router_hedges_past_slow_shard () =
   let slow_path, stop_slow = start_slow_shard 2.0 in
   Fun.protect ~finally:stop_slow (fun () ->
@@ -347,27 +353,8 @@ let test_router_hedges_past_slow_shard () =
       Fun.protect
         ~finally:(fun () -> stop_shard live)
         (fun () ->
-          let rpath = sock_path () in
-          let targets =
-            [ { Router.t_name = "slow"; t_addr = Net.Unix_sock slow_path };
-              { Router.t_name = "live";
-                t_addr = Net.Unix_sock live.sp_path } ]
-          in
-          let cfg =
-            { (Router.default_config ~addr:(Net.Unix_sock rpath)
-                 ~shards:targets)
-              with
-              hedge_ms = Some 25.0
-            }
-          in
-          let r = Router.create cfg in
-          let rth = Thread.create Router.run r in
-          Fun.protect
-            ~finally:(fun () ->
-              Router.stop r;
-              Thread.join rth;
-              if Sys.file_exists rpath then Sys.remove rpath)
-            (fun () ->
+          with_router [ ("slow", slow_path); ("live", live.sp_path) ]
+            (fun rpath r ->
               let ring = Ring.create [ "slow"; "live" ] in
               let src = src_with_primary ring "slow" in
               let t0 = Unix.gettimeofday () in
@@ -394,24 +381,10 @@ let test_router_fails_over_dead_shard () =
   Fun.protect
     ~finally:(fun () -> stop_shard live)
     (fun () ->
-      let rpath = sock_path () in
       let dead_path = sock_path () in
       (* never bound: connects fail immediately *)
-      let targets =
-        [ { Router.t_name = "dead"; t_addr = Net.Unix_sock dead_path };
-          { Router.t_name = "live"; t_addr = Net.Unix_sock live.sp_path } ]
-      in
-      let cfg =
-        Router.default_config ~addr:(Net.Unix_sock rpath) ~shards:targets
-      in
-      let r = Router.create cfg in
-      let rth = Thread.create Router.run r in
-      Fun.protect
-        ~finally:(fun () ->
-          Router.stop r;
-          Thread.join rth;
-          if Sys.file_exists rpath then Sys.remove rpath)
-        (fun () ->
+      with_router [ ("dead", dead_path); ("live", live.sp_path) ]
+        (fun rpath r ->
           let ring = Ring.create [ "dead"; "live" ] in
           let src = src_with_primary ring "dead" in
           let resp = request rpath (analyze_line src) in
@@ -421,9 +394,7 @@ let test_router_fails_over_dead_shard () =
             (J.get_int "failovers" (Router.stats_json r) >= 1)))
 
 let test_router_replicates_hot_keys () =
-  with_fleet ~n:3
-    ~router_cfg:(fun c -> { c with Router.promote_after = 2; replicas = 2 })
-    (fun rpath r shards ->
+  with_fleet ~n:3 (fun rpath r shards ->
       let line = analyze_line (src_of 2) in
       for _ = 1 to 3 do
         Alcotest.(check string) "hot request ok" "ok"
@@ -456,36 +427,22 @@ let test_router_replicates_hot_keys () =
 (* The promoted flag lives in the hit table, so evicting a key from it
    (the least recently requested, once [hits_cap] keys are held) clears
    the flag too: a key that turns hot again after its eviction is
-   promoted again, and the router keeps no per-key entry forever.  One
-   echo shard answers ok for everything; with a single shard a
-   promotion's replicate finds no replica and ends at once. *)
+   promoted again, and the router keeps no per-key entry forever.  A
+   key is promoted at its third hit.  One echo shard answers ok for
+   everything; with a single shard a promotion's replicate finds no
+   replica and ends at once. *)
 let test_router_promotion_table_is_bounded () =
   let hits_cap = 8192 in
   let path, stop = start_echo_shard ignore in
   Fun.protect ~finally:stop @@ fun () ->
-  let rpath = sock_path () in
-  let cfg =
-    { (Router.default_config ~addr:(Net.Unix_sock rpath)
-         ~shards:[ { Router.t_name = "echo"; t_addr = Net.Unix_sock path } ])
-      with
-      replicas = 2;
-      promote_after = 3 }
-  in
-  let r = Router.create cfg in
-  let rth = Thread.create Router.run r in
-  Fun.protect
-    ~finally:(fun () ->
-      Router.stop r;
-      Thread.join rth;
-      if Sys.file_exists rpath then Sys.remove rpath)
-  @@ fun () ->
+  with_router [ ("echo", path) ] @@ fun _ r ->
   let send line =
     if field (Router.handle_line r line) "status" <> "ok" then
       Alcotest.failf "not ok: %s" line
   in
   let promotions () = J.get_int "promotions" (Router.stats_json r) in
   let hot = analyze_line (src_of 1) in
-  for _ = 1 to cfg.Router.promote_after do
+  for _ = 1 to 3 do
     send hot
   done;
   Alcotest.(check int) "promoted once" 1 (promotions ());
@@ -493,40 +450,49 @@ let test_router_promotion_table_is_bounded () =
     send (analyze_line (Printf.sprintf "int main() { emit(%d); return 0; }" i))
   done;
   Alcotest.(check int) "cold keys promote nothing" 1 (promotions ());
-  for _ = 1 to cfg.Router.promote_after do
+  for _ = 1 to 3 do
     send hot
   done;
   Alcotest.(check int) "promoted again after the reset" 2 (promotions ())
 
-(* A pinned [hedge_ms] is the hedge threshold from the first request,
-   not only once the adaptive recomputation first runs. *)
-let test_router_pinned_hedge_from_first_request () =
+(* The hedge threshold starts at 25 ms and holds until the 64th
+   analysis, which sets it to twice the p95 of the front's latency window
+   clamped to [2 ms, 7.5 s].  Nothing else is analyzed before the check,
+   so [stats] reports the window the recomputation read. *)
+let test_router_adaptive_hedge_threshold () =
   let path, stop = start_echo_shard ignore in
   Fun.protect ~finally:stop @@ fun () ->
-  let rpath = sock_path () in
-  let cfg =
-    { (Router.default_config ~addr:(Net.Unix_sock rpath)
-         ~shards:[ { Router.t_name = "echo"; t_addr = Net.Unix_sock path } ])
-      with
-      hedge_ms = Some 100.0 }
-  in
-  let r = Router.create cfg in
-  let rth = Thread.create Router.run r in
-  Fun.protect
-    ~finally:(fun () ->
-      Router.stop r;
-      Thread.join rth;
-      if Sys.file_exists rpath then Sys.remove rpath)
-  @@ fun () ->
+  with_router [ ("echo", path) ] @@ fun _ r ->
   let threshold () =
     match J.member "hedge_threshold_ms" (Router.stats_json r) with
     | J.Float ms -> ms
     | j -> Alcotest.failf "hedge_threshold_ms: %s" (J.to_string j)
   in
-  Alcotest.(check (float 1e-9)) "before the first analyze" 100.0
+  let analyze i =
+    let line =
+      analyze_line (Printf.sprintf "int main() { emit(%d); return 0; }" i)
+    in
+    if field (Router.handle_line r line) "status" <> "ok" then
+      Alcotest.failf "not ok: %s" line
+  in
+  Alcotest.(check (float 1e-9)) "before the first analysis" 25.0
     (threshold ());
-  ignore (Router.handle_line r (analyze_line (src_of 1)));
-  Alcotest.(check (float 1e-9)) "after it" 100.0 (threshold ())
+  for i = 1 to 63 do
+    analyze i
+  done;
+  Alcotest.(check (float 1e-9)) "after the 63rd" 25.0 (threshold ());
+  analyze 64;
+  let latency = J.member "latency_ms" (Router.stats_json r) in
+  Alcotest.(check int) "64 analyses in the window" 64
+    (J.get_int "count" latency);
+  let p95 =
+    match J.member "p95" latency with
+    | J.Float ms -> ms
+    | j -> Alcotest.failf "p95: %s" (J.to_string j)
+  in
+  Alcotest.(check (float 1e-6)) "after the 64th: 2 x p95, clamped"
+    (Float.min 7500.0 (Float.max 2.0 (2.0 *. p95)))
+    (threshold ())
 
 (* A put to a stopped replica shard is a failed put: counted per shard
    and logged at warn with the shard name and the error. *)
@@ -543,9 +509,7 @@ let test_router_counts_failed_replica_puts () =
       Ogc_obs.Log.set_level Ogc_obs.Log.Error;
       Ogc_obs.Metrics.set_enabled metrics_were)
   @@ fun () ->
-  with_fleet ~n:2
-    ~router_cfg:(fun c -> { c with Router.promote_after = 2; replicas = 2 })
-    (fun rpath _ shards ->
+  with_fleet ~n:2 (fun rpath _ shards ->
       let src = src_of 3 in
       let ring = Ring.create (List.map (fun sp -> sp.sp_name) shards) in
       let replica =
@@ -554,7 +518,7 @@ let test_router_counts_failed_replica_puts () =
         | _ -> Alcotest.fail "expected two ring successors"
       in
       stop_shard (List.find (fun sp -> sp.sp_name = replica) shards);
-      for _ = 1 to 2 do
+      for _ = 1 to 3 do
         Alcotest.(check string) "hot request ok" "ok"
           (field (request rpath (analyze_line src)) "status")
       done;
@@ -646,23 +610,8 @@ let test_hedged_request_one_connected_trace () =
   Fun.protect ~finally:stop_slow @@ fun () ->
   let live = start_shard "live" in
   Fun.protect ~finally:(fun () -> stop_shard live) @@ fun () ->
-  let rpath = sock_path () in
-  let targets =
-    [ { Router.t_name = "slow"; t_addr = Net.Unix_sock slow_path };
-      { Router.t_name = "live"; t_addr = Net.Unix_sock live.sp_path } ]
-  in
-  let cfg =
-    { (Router.default_config ~addr:(Net.Unix_sock rpath) ~shards:targets)
-      with hedge_ms = Some 25.0 }
-  in
-  let r = Router.create cfg in
-  let rth = Thread.create Router.run r in
-  Fun.protect
-    ~finally:(fun () ->
-      Router.stop r;
-      Thread.join rth;
-      if Sys.file_exists rpath then Sys.remove rpath)
-  @@ fun () ->
+  with_router [ ("slow", slow_path); ("live", live.sp_path) ]
+  @@ fun rpath _ ->
   let ring = Ring.create [ "slow"; "live" ] in
   let src = src_with_primary ring "slow" in
   let trace = "t-accept" in
@@ -797,19 +746,7 @@ let test_untraced_wire_bytes_unchanged () =
         Mutex.protect cap_m (fun () -> captured := l :: !captured))
   in
   Fun.protect ~finally:stop @@ fun () ->
-  let rpath = sock_path () in
-  let cfg =
-    Router.default_config ~addr:(Net.Unix_sock rpath)
-      ~shards:[ { Router.t_name = "echo"; t_addr = Net.Unix_sock path } ]
-  in
-  let r = Router.create cfg in
-  let rth = Thread.create Router.run r in
-  Fun.protect
-    ~finally:(fun () ->
-      Router.stop r;
-      Thread.join rth;
-      if Sys.file_exists rpath then Sys.remove rpath)
-  @@ fun () ->
+  with_router [ ("echo", path) ] @@ fun rpath _ ->
   let line = analyze_line (src_of 5) in
   ignore (request rpath line);
   Alcotest.(check (list string)) "forwarded byte-identically" [ line ]
@@ -842,7 +779,17 @@ let test_loadgen_stream_is_deterministic () =
       match Protocol.op_of_json (J.of_string l) with
       | Protocol.Analyze _ -> ()
       | _ -> Alcotest.fail "loadgen emitted a non-analyze op")
-    lines
+    lines;
+  (* The default stream is pinned byte for byte: the MD5 of its first 300
+     lines joined by newlines. *)
+  let default =
+    Loadgen.default_config ~addr:(Net.Unix_sock "/tmp/unused.sock")
+  in
+  Alcotest.(check string) "default stream pinned"
+    "c8a6fd79c44fe5f54530783e8a7e1a60"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n" (List.init 300 (Loadgen.request_line default)))))
 
 let test_loadgen_survives_shard_kill () =
   with_fleet ~n:3 (fun rpath _r shards ->
@@ -895,8 +842,8 @@ let () =
            test_router_replicates_hot_keys;
          Alcotest.test_case "promotion table is bounded" `Quick
            test_router_promotion_table_is_bounded;
-         Alcotest.test_case "pinned hedge threshold from the first request"
-           `Quick test_router_pinned_hedge_from_first_request;
+         Alcotest.test_case "adaptive hedge threshold" `Quick
+           test_router_adaptive_hedge_threshold;
          Alcotest.test_case "counts and logs failed replica puts" `Quick
            test_router_counts_failed_replica_puts;
          Alcotest.test_case "rejects an oversized line" `Quick

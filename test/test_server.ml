@@ -127,8 +127,8 @@ let with_router path f =
   let rpath = sock_path () in
   let r =
     Router.create
-      (Router.default_config ~addr:(Net.Unix_sock rpath)
-         ~shards:[ { Router.t_name = "s0"; t_addr = Net.Unix_sock path } ])
+      { Router.addr = Net.Unix_sock rpath;
+        shards = [ { Router.t_name = "s0"; t_addr = Net.Unix_sock path } ] }
   in
   let th = Thread.create Router.run r in
   Fun.protect
@@ -342,41 +342,51 @@ let test_front_handler_exception () =
       [ fr.Flight.f_op; fr.Flight.f_outcome; fr.Flight.f_shard ]
   | [] -> Alcotest.fail "no flight record"
 
+(* At the default capacity and at one entry: the pass store holds a whole
+   chain however small [cache_capacity] is. *)
 let test_per_pass_artifact_reuse () =
-  with_server (fun path t ->
-      let r1 = request path (analyze_req ~pass:"vrs" ~cost:50 ()) in
-      Alcotest.(check string) "first ok" "ok" (field r1 "status");
-      Alcotest.(check string) "first misses result cache" "miss"
-        (field r1 "cache");
-      (* Changing only the VRS cost is a different result address, but
-         the guard-cost-independent chain prefix — VRP fixpoint, bb
-         profile, value profiles — is served from the pass store. *)
-      let r2 = request path (analyze_req ~pass:"vrs" ~cost:70 ()) in
-      Alcotest.(check string) "second ok" "ok" (field r2 "status");
-      Alcotest.(check string) "cost change misses result cache" "miss"
-        (field r2 "cache");
-      let by_pass =
-        J.member "by_pass" (J.member "passes" (Server.stats_json t))
-      in
-      let hits p = J.get_int "hits" (J.member p by_pass) in
-      List.iter
-        (fun p -> Alcotest.(check int) (p ^ " artifact reused") 1 (hits p))
-        [ "vrp"; "encode-widths"; "bb-profile"; "value-profile" ];
-      Alcotest.(check int) "vrs artifact is cost-specific" 0 (hits "vrs");
-      (* A warm store must not change a single byte of the payload:
-         recompute the same request cold, with no store at all. *)
-      let req =
-        match
-          Ogc_server.Protocol.op_of_json
-            (J.of_string (analyze_req ~pass:"vrs" ~cost:70 ()))
-        with
-        | Ogc_server.Protocol.Analyze r -> r
-        | _ -> Alcotest.fail "not an analyze op"
-      in
-      let cold =
-        J.to_string ~indent:false (Ogc_server.Protocol.analyze req)
-      in
-      Alcotest.(check string) "warm store = cold run" cold (result_bytes r2))
+  List.iter
+    (fun cache_capacity ->
+      with_server ~cache_capacity (fun path t ->
+          let r1 = request path (analyze_req ~pass:"vrs" ~cost:50 ()) in
+          Alcotest.(check string) "first ok" "ok" (field r1 "status");
+          Alcotest.(check string) "first misses result cache" "miss"
+            (field r1 "cache");
+          (* Changing only the VRS cost is a different result address, but
+             the guard-cost-independent chain prefix — VRP fixpoint, bb
+             profile, value profiles — is served from the pass store. *)
+          let r2 = request path (analyze_req ~pass:"vrs" ~cost:70 ()) in
+          Alcotest.(check string) "second ok" "ok" (field r2 "status");
+          Alcotest.(check string) "cost change misses result cache" "miss"
+            (field r2 "cache");
+          let by_pass =
+            J.member "by_pass" (J.member "passes" (Server.stats_json t))
+          in
+          let hits p = J.get_int "hits" (J.member p by_pass) in
+          List.iter
+            (fun p ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s artifact reused at capacity %d" p
+                   cache_capacity)
+                1 (hits p))
+            [ "vrp"; "encode-widths"; "bb-profile"; "value-profile" ];
+          Alcotest.(check int) "vrs artifact is cost-specific" 0 (hits "vrs");
+          (* A warm store must not change a single byte of the payload:
+             recompute the same request cold, with no store at all. *)
+          let req =
+            match
+              Ogc_server.Protocol.op_of_json
+                (J.of_string (analyze_req ~pass:"vrs" ~cost:70 ()))
+            with
+            | Ogc_server.Protocol.Analyze r -> r
+            | _ -> Alcotest.fail "not an analyze op"
+          in
+          let cold =
+            J.to_string ~indent:false (Ogc_server.Protocol.analyze req)
+          in
+          Alcotest.(check string) "warm store = cold run" cold
+            (result_bytes r2)))
+    [ 256; 1 ]
 
 (* --- scheduler ------------------------------------------------------------- *)
 
@@ -668,11 +678,11 @@ let wire_profile_json s =
     Workload.set_scale p Workload.Train;
   Profile.to_json (Profile.collect p)
 
-let profile_req ?(source = src) () =
+let profile_req ?(source = src) ?(profile = wire_profile_json source) () =
   J.to_string ~indent:false
     (J.Obj
        [ ("op", J.Str "profile"); ("source", J.Str source);
-         ("profile", wire_profile_json source) ])
+         ("profile", profile) ])
 
 let test_profile_roundtrip () =
   with_server (fun path t ->
@@ -884,6 +894,63 @@ let test_stale_index_keeps_recent_shape () =
       in
       Alcotest.(check int) "bounded" 8 (J.get_int "entries" index);
       Alcotest.(check int) "two evictions" 2 (J.get_int "evictions" index))
+
+(* A re-specialization the queue cannot admit is dropped, counted in
+   [profile.respecializations_dropped] and logged at warn with the route
+   key, the epoch and the queue limit; the next stale request tries
+   again.  A zero-length queue computes nothing, so the epoch-0 answer is
+   put into the cache by hand, and a hit on it records it in the stale
+   index. *)
+let test_dropped_respec_counted () =
+  let line = analyze_req ~pass:"vrs" ~cost:50 () in
+  let req =
+    match Ogc_server.Protocol.op_of_json (J.of_string line) with
+    | Ogc_server.Protocol.Analyze r -> r
+    | _ -> Alcotest.fail "not an analyze op"
+  in
+  let put =
+    J.to_string ~indent:false
+      (J.Obj
+         [ ("op", J.Str "put");
+           ("key", J.Str (Ogc_server.Protocol.cache_key req));
+           ("result", J.Obj [ ("answer", J.Int 0) ]) ])
+  in
+  let empty_push =
+    profile_req ~profile:(Profile.to_json (Profile.create ())) ()
+  in
+  with_warn_lines @@ fun warned ->
+  with_server ~queue_limit:0 (fun path t ->
+      let profile k = J.get_int k (J.member "profile" (Server.stats_json t)) in
+      let dropped () = profile "respecializations_dropped" in
+      Alcotest.(check string) "put ok" "ok"
+        (field (request path put) "status");
+      Alcotest.(check string) "epoch-0 answer is a hit" "hit"
+        (field (request path line) "cache");
+      Alcotest.(check string) "empty push moves to epoch 1" "1"
+        (field (request path empty_push) "epoch");
+      Alcotest.(check string) "answered stale" "stale"
+        (field (request path line) "cache");
+      Alcotest.(check int) "one drop counted" 1 (dropped ());
+      (match
+         List.filter
+           (fun l ->
+             J.member "msg" (J.of_string l)
+             = J.Str "ogc-serve: respecialization dropped")
+           (warned ())
+       with
+      | [ l ] ->
+        let j = J.of_string l in
+        Alcotest.(check string) "route key" (Ogc_server.Protocol.route_key req)
+          (J.get_string "route_key" j);
+        Alcotest.(check int) "epoch" 1 (J.get_int "epoch" j);
+        Alcotest.(check int) "queue limit" 0 (J.get_int "queue_limit" j)
+      | ls ->
+        Alcotest.failf "%d respecialization-dropped lines" (List.length ls));
+      Alcotest.(check string) "answered stale again" "stale"
+        (field (request path line) "cache");
+      Alcotest.(check int) "second drop counted" 2 (dropped ());
+      Alcotest.(check int) "nothing respecialized" 0
+        (profile "respecializations"))
 
 (* --- drain ----------------------------------------------------------------- *)
 
@@ -1138,6 +1205,8 @@ let () =
            `Quick test_profile_store_keeps_pushed_program;
          Alcotest.test_case "stale-answer index keeps a recent shape" `Quick
            test_stale_index_keeps_recent_shape;
+         Alcotest.test_case "dropped respecialization is counted and logged"
+           `Quick test_dropped_respec_counted;
          Alcotest.test_case "profile store publishes copies" `Quick
            test_profile_store_publishes_copies ]);
       ("drain",
