@@ -19,7 +19,6 @@
      loadgen    replay a synthetic submission stream against a service *)
 
 open Cmdliner
-module Minic = Ogc_minic.Minic
 module Prog = Ogc_ir.Prog
 module Interp = Ogc_ir.Interp
 module Vrp = Ogc_core.Vrp
@@ -33,38 +32,23 @@ module Json = Ogc_json.Json
 module Metrics = Ogc_obs.Metrics
 module Span = Ogc_obs.Span
 module Log = Ogc_obs.Log
+module Protocol = Ogc_server.Protocol
 
 (* --- program loading ---------------------------------------------------- *)
 
-(* Loads a program and, when the spec goes through the MiniC compiler,
-   the register allocator's report.  A .s file holds already-allocated
-   code, so it has no report. *)
-let load_program_with_alloc spec input =
-  if Sys.file_exists spec then begin
-    let ic = open_in_bin spec in
-    let n = in_channel_length ic in
-    let src = really_input_string ic n in
-    close_in ic;
-    (* .s files hold the assembly save format; anything else is MiniC. *)
-    if Filename.check_suffix spec ".s" then begin
-      let p = try Ogc_ir.Asm.parse src with Ogc_ir.Asm.Error m -> failwith m in
-      Ogc_ir.Validate.program p;
-      (p, None)
-    end
-    else
-      let p, info = Minic.compile_with_info src in
-      (p, Some info)
-  end
-  else
-    match Workload.find spec with
-    | w ->
-      let p, info = Workload.compile_with_alloc w input in
-      (p, Some info)
-    | exception Not_found ->
-      Fmt.failwith
-        "%s is neither a file nor a workload (try `ogc workloads`)" spec
+(* The PROGRAM argument as a request payload: a .s file holds the
+   assembly save format, any other file MiniC source, and anything else
+   names a workload.  Every subcommand, [submit] included, reads its
+   program here, and the local ones load it with the service's own
+   {!Protocol.load}. *)
+let payload_of_spec spec =
+  if Sys.file_exists spec then
+    let src = In_channel.with_open_bin spec In_channel.input_all in
+    if Filename.check_suffix spec ".s" then Protocol.Asm_text src
+    else Protocol.Source src
+  else Protocol.Workload spec
 
-let load_program spec input = fst (load_program_with_alloc spec input)
+let load_program spec input = fst (Protocol.load (payload_of_spec spec) input)
 
 let save_arg =
   Arg.(value & opt (some string) None
@@ -89,7 +73,10 @@ let program_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM" ~doc)
 
 let input_arg =
-  let doc = "Input scale for workloads: $(b,train) or $(b,ref)." in
+  let doc =
+    "Input scale of a program with an $(i,input_scale) global (every \
+     workload has one): $(b,train) or $(b,ref)."
+  in
   let input_conv =
     Arg.enum [ ("train", Workload.Train); ("ref", Workload.Ref) ]
   in
@@ -98,7 +85,7 @@ let input_arg =
 
 let wrap f =
   try f () with
-  | Minic.Error msg | Failure msg ->
+  | Json.Parse_error msg | Failure msg ->
     Fmt.epr "error: %s@." msg;
     exit 1
   | Interp.Fault msg ->
@@ -195,10 +182,10 @@ let vrs_cmd =
          & info [ "cost" ] ~docv:"NJ"
              ~doc:"Specialization cost configuration (the paper's 30-110 sweep).")
   in
-  let run spec _input cost out =
+  let run spec cost out =
     wrap (fun () ->
-        (* VRS trains on the train scale and evaluates on ref, like the
-           harness. *)
+        (* VRS trains on the train input, like the harness and the
+           service. *)
         let p = load_program spec Workload.Train in
         let cfg =
           { Vrs.default_config with
@@ -224,7 +211,7 @@ let vrs_cmd =
   in
   Cmd.v
     (Cmd.info "vrs" ~doc:"Run value range specialization (profile + clone)")
-    Term.(const run $ program_arg $ input_arg $ cost $ save_arg)
+    Term.(const run $ program_arg $ cost $ save_arg)
 
 (* --- sim -------------------------------------------------------------------- *)
 
@@ -239,21 +226,24 @@ let policy_arg =
 
 let sim_cmd =
   let optimize =
-    Arg.(value & opt (enum [ ("none", `None); ("vrp", `Vrp); ("vrs", `Vrs) ])
-           `None
+    Arg.(value
+         & opt
+             (enum
+                Protocol.[ ("none", P_none); ("vrp", P_vrp); ("vrs", P_vrs) ])
+             Protocol.P_none
          & info [ "optimize" ] ~docv:"PASS"
-             ~doc:"Software pass to apply first: none, vrp or vrs.")
+             ~doc:"Software pass to apply first: none, vrp or vrs (trained \
+                   on the train input, cost 50).  The binary is the one \
+                   $(b,ogc serve) builds for the same request.")
   in
-  let run spec input policy optimize =
+  let run spec input policy pass =
     wrap (fun () ->
-        let p = load_program spec input in
-        (match optimize with
-        | `None -> ()
-        | `Vrp -> ignore (Vrp.run p)
-        | `Vrs ->
-          Workload.set_scale p Workload.Train;
-          ignore (Vrs.run p);
-          Workload.set_scale p input);
+        let _, p =
+          Protocol.build
+            { Protocol.id = None; payload = payload_of_spec spec; input; pass;
+              policy; cost = 50; deadline_ms = None; return_program = false;
+              trace_id = None; parent_span = None }
+        in
         let s = Pipeline.simulate ~policy p in
         Format.printf "instructions : %d@." s.Pipeline.instructions;
         Format.printf "cycles       : %d (IPC %.2f)@." s.Pipeline.cycles
@@ -406,7 +396,7 @@ let trace_cmd =
         Net.call c
           (Json.to_string ~indent:false
              (Json.Obj
-                [ ("proto", Json.Int Ogc_server.Protocol.proto_version);
+                [ ("proto", Json.Int Protocol.proto_version);
                   ("op", Json.Str "trace") ]))
       with End_of_file -> Fmt.failwith "server closed the connection"
     in
@@ -687,12 +677,10 @@ let serve_cmd =
           $ shard_id $ daemon_term $ inject_slow_ms)
 
 (* The delta `--push-profile auto` streams: the program run locally at
-   train scale, like the server's chain front compiles it. *)
-let auto_profile_delta spec =
-  let p = load_program spec Workload.Train in
-  if Prog.find_global p "input_scale" <> None then
-    Workload.set_scale p Workload.Train;
-  Ogc_pass.Profile.(to_json (collect p))
+   train scale, as the server's VRS chain loads it. *)
+let auto_profile_delta payload =
+  Ogc_pass.Profile.(
+    to_json (collect (fst (Protocol.load payload Workload.Train))))
 
 let submit_cmd =
   let program =
@@ -780,32 +768,28 @@ let submit_cmd =
   let run addr program input vrp vrs policy cost deadline return_program id
       trace_id push_profile stats ping metrics raw retries connect_timeout =
     wrap (fun () ->
-        let fields = ref [ ("proto", Json.Int Ogc_server.Protocol.proto_version) ] in
+        let fields = ref [ ("proto", Json.Int Protocol.proto_version) ] in
         let add k v = fields := (k, v) :: !fields in
-        (match (stats, ping, metrics, program) with
+        let payload = Option.map payload_of_spec program in
+        (match (stats, ping, metrics, payload) with
         | true, _, _, _ -> add "op" (Json.Str "stats")
         | false, true, _, _ -> add "op" (Json.Str "ping")
         | false, false, true, _ -> add "op" (Json.Str "metrics")
         | false, false, false, None ->
           Fmt.failwith
             "a PROGRAM is required unless --stats, --ping or --metrics"
-        | false, false, false, Some spec ->
-          if Sys.file_exists spec then begin
-            let ic = open_in_bin spec in
-            let n = in_channel_length ic in
-            let src = really_input_string ic n in
-            close_in ic;
-            if Filename.check_suffix spec ".s" then add "asm" (Json.Str src)
-            else add "source" (Json.Str src)
-          end
-          else add "workload" (Json.Str spec);
+        | false, false, false, Some payload ->
+          (match payload with
+          | Protocol.Source s -> add "source" (Json.Str s)
+          | Protocol.Asm_text s -> add "asm" (Json.Str s)
+          | Protocol.Prog_tree j -> add "prog" j
+          | Protocol.Workload w -> add "workload" (Json.Str w));
           (match (vrp, vrs) with
           | true, true -> Fmt.failwith "--vrp and --vrs are mutually exclusive"
           | true, false -> add "pass" (Json.Str "vrp")
           | false, true -> add "pass" (Json.Str "vrs")
           | false, false -> ());
-          add "input"
-            (Json.Str (match input with Workload.Train -> "train" | _ -> "ref"));
+          add "input" (Json.Str (Protocol.input_name input));
           Option.iter (fun p -> add "policy" (Json.Str p)) policy;
           Option.iter (fun c -> add "cost" (Json.Int c)) cost;
           Option.iter (fun d -> add "deadline_ms" (Json.Int d)) deadline;
@@ -818,7 +802,7 @@ let submit_cmd =
              or --metrics"
         | Some "auto" ->
           add "op" (Json.Str "profile");
-          add "profile" (auto_profile_delta (Option.get program))
+          add "profile" (auto_profile_delta (Option.get payload))
         | Some file ->
           if not (Sys.file_exists file) then
             Fmt.failwith
@@ -1078,7 +1062,7 @@ let analyze_cmd =
   in
   let run spec input chain json dump_alloc out =
     wrap (fun () ->
-        let p, alloc = load_program_with_alloc spec input in
+        let p, alloc = Protocol.load (payload_of_spec spec) input in
         if dump_alloc then begin
           let ppf = if json then Format.err_formatter else Format.std_formatter in
           match alloc with

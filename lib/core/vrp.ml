@@ -1060,18 +1060,14 @@ let assign_widths res (f : Prog.func) =
    commutative and associative) interval join, so the result is identical
    at any [--jobs].
 
-   The final recorded pass of the old sequential engine updated each
-   function's return summary immediately, so a later function saw the
-   {e final} returns of every earlier one.  To parallelize without
-   changing a single bit of output, functions are levelized over the
-   "calls an earlier-indexed function" relation: within a level no
-   function's result can influence another's, and each task resolves a
-   callee's return from the finals of earlier levels when the callee has
-   a smaller index, else from the round-fixpoint snapshot — exactly the
-   view the sequential schedule provides.
+   The final recorded pass runs in function order and publishes each
+   function's return summary as soon as it is analyzed, so a function
+   sees the {e final} returns of every earlier one and the round
+   fixpoint of itself and every later one.
 
-   [finish res plan] runs right after a function's recorded pass, in
-   the same task ({!analyze} hangs demand and width assignment there). *)
+   [finish res plan] runs right after a function's recorded pass
+   ({!analyze} hangs demand and width assignment there); it reads no
+   summaries. *)
 let solve ~config ~engine ~jobs ~finish (p : Prog.t) : result =
   let jobs = match jobs with None -> 1 | Some n -> Pool.resolve_jobs (Some n) in
   let n_iid = max p.next_iid 1 in
@@ -1160,55 +1156,18 @@ let solve ~config ~engine ~jobs ~finish (p : Prog.t) : result =
             | None -> () (* never called: keep ⊤ *)))
       p.funcs
   done;
-  (* Final recorded pass per function, levelized so the sequential
-     summary-visibility order is preserved. *)
-  let index_of = Hashtbl.create 16 in
-  Array.iteri (fun i (f : Prog.func) -> Hashtbl.replace index_of f.fname i) funcs;
-  let level = Array.make (max nf 1) 0 in
   Array.iteri
     (fun i (f : Prog.func) ->
-      List.iter
-        (fun callee ->
-          match Hashtbl.find_opt index_of callee with
-          | Some j when j < i -> level.(i) <- max level.(i) (level.(j) + 1)
-          | Some _ | None -> ())
-        (Callgraph.callees cg f.fname))
-    funcs;
-  let snapshot_ret = Array.map (fun (f : Prog.func) -> summary_ret f.fname) funcs in
-  let finals : Interval.t option array = Array.make (max nf 1) None in
-  let max_level = Array.fold_left max 0 level in
-  let by_level = Array.make (max_level + 1) [] in
-  for i = nf - 1 downto 0 do
-    by_level.(level.(i)) <- i :: by_level.(level.(i))
-  done;
-  for lv = 0 to max_level do
-    let results =
-      Pool.map ~jobs
-        (fun i ->
-          let f = funcs.(i) in
-          let ret_of name =
-            match Hashtbl.find_opt index_of name with
-            | Some j when j < i -> (
-              match finals.(j) with Some r -> r | None -> snapshot_ret.(j))
-            | Some j -> snapshot_ret.(j)
-            | None -> Interval.top
-          in
-          let ctx =
-            { gaddr; ret_of; args_of = args_of f; func_of; config;
-              arg_acc = None; record = Some res }
-          in
-          let ret, v, r = analyze_func ctx plans.(i) ~engine in
-          finish res plans.(i);
-          (i, ret, v, r))
-        by_level.(lv)
-    in
-    List.iter (fun (i, ret, v, r) -> finals.(i) <- Some ret; add_stats v r) results
-  done;
-  Array.iteri
-    (fun i (f : Prog.func) ->
-      match (Hashtbl.find_opt res.summaries f.fname, finals.(i)) with
-      | Some s, Some ret -> s.s_ret <- ret
-      | _ -> ())
+      let ctx =
+        { gaddr; ret_of = summary_ret; args_of = args_of f; func_of; config;
+          arg_acc = None; record = Some res }
+      in
+      let ret, v, r = analyze_func ctx plans.(i) ~engine in
+      finish res plans.(i);
+      add_stats v r;
+      match Hashtbl.find_opt res.summaries f.fname with
+      | Some s -> s.s_ret <- ret
+      | None -> ())
     funcs;
   Metrics.add m_fixpoint_iters (float_of_int res.stats.rounds);
   Metrics.add m_fixpoint_visits (float_of_int res.stats.visits);

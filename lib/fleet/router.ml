@@ -148,8 +148,11 @@ let shard_of t name = List.assoc name t.shard_tbl
 let create cfg =
   if cfg.shards = [] then invalid_arg "Router.create: no shards";
   let names = List.map (fun s -> s.t_name) cfg.shards in
-  if List.length (List.sort_uniq String.compare names) <> List.length names
-  then invalid_arg "Router.create: duplicate shard names";
+  List.iteri
+    (fun i n ->
+      if List.mem n (List.filteri (fun j _ -> j > i) names) then
+        Fmt.failwith "duplicate shard name %S" n)
+    names;
   let ring = Ring.create names in
   let shard_tbl =
     List.map

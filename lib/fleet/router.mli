@@ -75,7 +75,8 @@ type t
 val create : config -> t
 (** Bind and listen; shard connections are opened lazily on first use,
     so shards may come up after the router.  Raises [Invalid_argument]
-    on an empty shard list or duplicate shard names. *)
+    on an empty shard list and [Failure] naming a duplicate shard name;
+    both before binding. *)
 
 val run : t -> unit
 (** Serve until {!stop}; returns after the drain.  Call at most once. *)

@@ -163,22 +163,54 @@ type base_info = {
           preserve instruction ids *)
 }
 
-type version = V_vrp | V_vrp_conv | V_vrs of int
+(* The guard-cost-independent front half of the VRS pipeline; warmed
+   once per workload on the train input, shared by the cost sweep. *)
+let profile_chain = "cleanup,vrp,encode-widths,bb-profile,value-profile"
 
-type vrs_cell = {
-  label : int;
-  stats : Pipeline.stats;
-  summary : vrs_summary;
-  anchor : (Pipeline.stats * Pipeline.stats * float * float) option;
-      (** +significance, +size, spec fraction, guard fraction — only for
-          the anchor (VRS-50) task *)
+(* One binary version of the paper grid: a pass chain over the
+   workload's pristine program (profiling on the train input when
+   [trains], else run at the evaluation input), simulated under each
+   of [policies] in order.  The versions are the table below. *)
+type version = {
+  name : string;
+  chain : string;
+  trains : bool;
+  policies : Policy.t list;
 }
 
-type version_result =
-  | R_vrp of Pipeline.stats * Pipeline.stats * Pipeline.stats
-      (** software, +significance, +size *)
-  | R_vrp_conv of Pipeline.stats
-  | R_vrs of vrs_cell
+let vrs_version label = Printf.sprintf "vrs%d" label
+
+let gating_variants =
+  [ Policy.Software; Policy.Sw_plus_significance; Policy.Sw_plus_size ]
+
+(* VRP, conventional VRP and one VRS version per cost; the anchor cost's
+   VRS also runs the hardware-assisted variants. *)
+let versions ~costs ~anchor_label =
+  { name = "vrp";
+    chain = "cleanup,vrp,encode-widths,cleanup";
+    trains = false;
+    policies = gating_variants }
+  :: { name = "vrpconv";
+       chain = "cleanup,vrp:variant=conventional,encode-widths,cleanup";
+       trains = false;
+       policies = [ Policy.Software ] }
+  :: List.map
+       (fun l ->
+         { name = vrs_version l;
+           chain = Printf.sprintf "%s,vrs:cost=%d,cleanup" profile_chain l;
+           trains = true;
+           policies =
+             (if l = anchor_label then gating_variants
+              else [ Policy.Software ]) })
+       costs
+
+(* What one (workload, version) task measured. *)
+type cell = {
+  sims : (Policy.t * Pipeline.stats) list;  (** in [policies] order *)
+  summary : vrs_summary option;  (** VRS versions *)
+  fracs : (float * float) option;
+      (** spec and guard fractions, the anchor version only *)
+}
 
 let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
   let jobs = Pool.resolve_jobs jobs in
@@ -207,9 +239,6 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
     Ogc_ir.Validate.program st.Pass.prog;
     st
   in
-  (* The guard-cost-independent front half of the VRS pipeline; warmed
-     once per workload on the train input, shared by the cost sweep. *)
-  let profile_chain = "cleanup,vrp,encode-widths,bb-profile,value-profile" in
   let selected =
     match only with
     | None -> Workload.all
@@ -265,60 +294,39 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
          base_infos)
   in
   (* Phase 3: one task per (workload, binary version) cell. *)
-  let versions = V_vrp :: V_vrp_conv :: List.map (fun l -> V_vrs l) costs in
+  let anchor = vrs_version anchor_label in
+  let versions = versions ~costs ~anchor_label in
   let cells =
     List.concat_map (fun bi -> List.map (fun v -> (bi, v)) versions) base_infos
   in
-  let run_cell (bi, v) =
+  let run_cell bi v =
     let wname = bi.bw.Workload.name in
-    let sim ~policy p = sim ~spill_bytes_of:bi.b_spill_fn ~policy p in
-    match v with
-    | V_vrp ->
-      let st =
-        run_pass_chain bi eval_input "cleanup,vrp,encode-widths,cleanup"
-      in
-      let p = st.Pass.prog in
-      let vrp_sw = sim ~policy:Policy.Software p in
-      check_checksum wname bi.ref_checksum vrp_sw "VRP";
-      let vrp_sig = sim ~policy:Policy.Sw_plus_significance p in
-      let vrp_size = sim ~policy:Policy.Sw_plus_size p in
-      R_vrp (vrp_sw, vrp_sig, vrp_size)
-    | V_vrp_conv ->
-      let st =
-        run_pass_chain bi eval_input
-          "cleanup,vrp:variant=conventional,encode-widths,cleanup"
-      in
-      let s = sim ~policy:Policy.Software st.Pass.prog in
-      check_checksum wname bi.ref_checksum s "conventional VRP";
-      R_vrp_conv s
-    | V_vrs label ->
-      progress (Printf.sprintf "%s/vrs%d" wname label);
-      let st =
-        run_pass_chain bi Workload.Train
-          (Printf.sprintf "%s,vrs:cost=%d,cleanup" profile_chain label)
-      in
-      let p = st.Pass.prog in
-      let rep =
-        match st.Pass.report with Some r -> r | None -> assert false
-      in
-      Workload.set_scale p eval_input;
-      let stats = sim ~policy:Policy.Software p in
-      check_checksum wname bi.ref_checksum stats
-        (Printf.sprintf "VRS %d" label);
-      let anchor =
-        if label = anchor_label then begin
-          let vrs_sig = sim ~policy:Policy.Sw_plus_significance p in
-          let vrs_size = sim ~policy:Policy.Sw_plus_size p in
-          let spec_frac, guard_frac = runtime_specialization p rep eval_input in
-          Some (vrs_sig, vrs_size, spec_frac, guard_frac)
-        end
-        else None
-      in
-      R_vrs { label; stats; summary = summarize_report rep; anchor }
+    if v.trains then progress (wname ^ "/" ^ v.name);
+    let input = if v.trains then Workload.Train else eval_input in
+    let st = run_pass_chain bi input v.chain in
+    let p = st.Pass.prog in
+    if v.trains then Workload.set_scale p eval_input;
+    let sims =
+      List.map
+        (fun policy ->
+          let s = sim ~spill_bytes_of:bi.b_spill_fn ~policy p in
+          check_checksum wname bi.ref_checksum s v.name;
+          (policy, s))
+        v.policies
+    in
+    { sims;
+      summary = Option.map summarize_report st.Pass.report;
+      fracs =
+        (match st.Pass.report with
+        | Some rep when String.equal v.name anchor ->
+          Some (runtime_specialization p rep eval_input)
+        | _ -> None) }
   in
   let cell_results, ph3_s =
     Span.timed ~name:"collect:versions" (fun () ->
-        Pool.map ~jobs run_cell cells)
+        Pool.map ~jobs
+          (fun (bi, v) -> ((bi.bw.Workload.name, v.name), run_cell bi v))
+          cells)
   in
   (* Phase 4: analyze-throughput microbench, one [Vrp.analyze] per
      workload on the cleaned train-scaled program.  Runs sequentially —
@@ -355,59 +363,32 @@ let collect_timed ?(quick = false) ?only ?(progress = fun _ -> ()) ?jobs () =
           } ))
       base_infos
   in
-  (* Reassemble in workload order: cells were emitted per workload, in
-     [versions] order, and the pool preserves submission order. *)
-  let nversions = List.length versions in
   let workloads =
-    List.mapi
-      (fun i bi ->
-        let mine =
-          List.filteri
-            (fun j _ -> j >= i * nversions && j < (i + 1) * nversions)
-            cell_results
-        in
-        let vrp_sw, vrp_sig, vrp_size =
-          match List.nth mine 0 with
-          | R_vrp (a, b, c) -> (a, b, c)
-          | _ -> assert false
-        in
-        let vrpconv_sw =
-          match List.nth mine 1 with R_vrp_conv s -> s | _ -> assert false
-        in
-        let vrs_runs =
-          List.filter_map
-            (function
-              | R_vrs r -> Some r
-              | R_vrp _ | R_vrp_conv _ -> None)
-            mine
-        in
-        let vrs50_sig, vrs50_size, spec_frac, guard_frac =
-          match
-            List.find_map (fun (r : _) ->
-                match r with
-                | { anchor = Some (a, b, c, d); _ } -> Some (a, b, c, d)
-                | _ -> None)
-              vrs_runs
-          with
-          | Some x -> x
-          | None -> assert false
-        in
+    List.map
+      (fun bi ->
+        let wname = bi.bw.Workload.name in
+        let cell v = List.assoc (wname, v) cell_results in
+        let sim v policy = List.assoc policy (cell v).sims in
+        let spec_frac, guard_frac = Option.get (cell anchor).fracs in
         {
-          wname = bi.bw.Workload.name;
+          wname;
           static_instructions = bi.b_static;
           spill_slots_bytes = bi.b_spill_slots;
           spill_slots_naive_bytes = bi.b_spill_naive;
           base_none = bi.b_none;
           base_hwsig = bi.b_hwsig;
           base_hwsize = bi.b_hwsize;
-          vrp_sw;
-          vrpconv_sw;
-          vrp_sig;
-          vrp_size;
-          vrs = List.map (fun r -> (r.label, r.stats)) vrs_runs;
-          vrs50_sig;
-          vrs50_size;
-          vrs_reports = List.map (fun r -> (r.label, r.summary)) vrs_runs;
+          vrp_sw = sim "vrp" Policy.Software;
+          vrpconv_sw = sim "vrpconv" Policy.Software;
+          vrp_sig = sim "vrp" Policy.Sw_plus_significance;
+          vrp_size = sim "vrp" Policy.Sw_plus_size;
+          vrs =
+            List.map (fun l -> (l, sim (vrs_version l) Policy.Software)) costs;
+          vrs50_sig = sim anchor Policy.Sw_plus_significance;
+          vrs50_size = sim anchor Policy.Sw_plus_size;
+          vrs_reports =
+            List.map (fun l -> (l, Option.get (cell (vrs_version l)).summary))
+              costs;
           vrs50_spec_frac = spec_frac;
           vrs50_guard_frac = guard_frac;
         })

@@ -21,8 +21,10 @@
     workload order, so the output is identical whatever the parallelism
     degree.
 
-    Each binary version is expressed as an {!Ogc_pass.Pass} chain run
-    against a per-workload artifact store.  A dedicated analyses phase
+    The binary versions are one table: each entry names a version, its
+    {!Ogc_pass.Pass} chain, whether it trains on the train input, and
+    the policies it is simulated under.  Chains run against a
+    per-workload artifact store.  A dedicated analyses phase
     warms the store with the guard-cost-independent front of the VRS
     pipeline (cleanup, VRP, width encoding, the training basic-block
     profile and the TNV value profiles) on the train input, so the

@@ -240,29 +240,33 @@ let set_scale_if p input =
   if Prog.find_global p "input_scale" <> None then
     Workload.set_scale p input
 
-let load req input =
-  match req.payload with
-  | Workload name -> (
-    match Workload.find name with
-    | w -> Workload.compile w input
-    | exception Not_found -> fail "unknown workload %S" name)
-  | Source src ->
-    let p =
-      try Ogc_minic.Minic.compile src
+(* MiniC (a workload's or the client's) comes with the register
+   allocator's report; saved programs are already allocated. *)
+let load payload input =
+  let compiled src =
+    let p, info =
+      try Ogc_minic.Minic.compile_with_info src
       with Ogc_minic.Minic.Error m -> fail "MiniC: %s" m
     in
     set_scale_if p input;
-    p
+    (p, Some info)
+  in
+  let saved p =
+    (try Ogc_ir.Validate.program p
+     with Ogc_ir.Validate.Invalid m -> fail "invalid program: %s" m);
+    set_scale_if p input;
+    (p, None)
+  in
+  match payload with
+  | Workload name -> (
+    match Workload.find name with
+    | w -> compiled w.Workload.source
+    | exception Not_found ->
+      fail "unknown workload %S (see `ogc workloads`)" name)
+  | Source src -> compiled src
   | Asm_text s ->
-    let p = try Ogc_ir.Asm.parse s with Ogc_ir.Asm.Error m -> fail "asm: %s" m in
-    Ogc_ir.Validate.program p;
-    set_scale_if p input;
-    p
-  | Prog_tree j ->
-    let p = Ogc_ir.Prog_json.of_json j in
-    Ogc_ir.Validate.program p;
-    set_scale_if p input;
-    p
+    saved (try Ogc_ir.Asm.parse s with Ogc_ir.Asm.Error m -> fail "asm: %s" m)
+  | Prog_tree j -> saved (Ogc_ir.Prog_json.of_json j)
 
 (* Baseline (untransformed, ungated) and optimized programs, both at the
    request's evaluation scale.  VRS mirrors the batch harness: profile
@@ -275,15 +279,15 @@ let load req input =
 let build ?store ?wire req =
   match req.pass with
   | P_none ->
-    let p = load req req.input in
+    let p, _ = load req.payload req.input in
     (Prog.copy p, p)
   | P_vrp ->
-    let p = load req req.input in
+    let p, _ = load req.payload req.input in
     let base = Prog.copy p in
     let st, _ = Pass.run ?store "vrp,encode-widths" p in
     (base, st.Pass.prog)
   | P_vrs ->
-    let p = load req Workload.Train in
+    let p, _ = load req.payload Workload.Train in
     (* One compile serves both sides: the copy keeps every instruction id
        and owns its globals, so rescaling it leaves the training run's
        input alone. *)

@@ -105,6 +105,30 @@ val route_key : request -> string
     equal route keys to one shard concentrates that program's
     chain-prefix artifacts in a single warm {!Ogc_pass.Pass.Store}. *)
 
+val load :
+  payload ->
+  Ogc_workloads.Workload.input ->
+  Ogc_ir.Prog.t * Ogc_regalloc.Regalloc.info option
+(** The program a payload names, scaled to [input] when it has an
+    [input_scale] global (every workload does).  MiniC — a source or a
+    workload — comes with the register allocator's report; a saved
+    (["asm"] or ["prog"]) program is already allocated and has none.
+    The one loader behind the service and the [ogc] CLI.  Raises
+    [Parse_error] on a bad or unknown program. *)
+
+val build :
+  ?store:Ogc_pass.Pass.Store.t ->
+  ?wire:Ogc_pass.Profile.t ->
+  request ->
+  Ogc_ir.Prog.t * Ogc_ir.Prog.t
+(** The baseline (untransformed) and optimized binaries of a request,
+    both scaled to its [input]: [none] is the loaded program, [vrp] the
+    [vrp,encode-widths] chain, [vrs] the
+    [vrp,encode-widths,bb-profile,value-profile,vrs:cost=N] chain
+    trained on the train input (plus a [zspec] tail when [wire] is
+    given).  [store] and [wire] are {!analyze}'s.  Raises [Parse_error]
+    like {!load}. *)
+
 val analyze :
   ?store:Ogc_pass.Pass.Store.t ->
   ?wire:Ogc_pass.Profile.t ->

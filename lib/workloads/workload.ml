@@ -31,12 +31,9 @@ let set_scale (p : Ogc_ir.Prog.t) input =
   | Some g -> Bytes.set_int64_le g.init 0 (scale input)
   | None -> invalid_arg "Workload.set_scale: program has no input_scale"
 
-let compile w input =
-  let p = Ogc_minic.Minic.compile w.source in
-  set_scale p input;
-  p
-
 let compile_with_alloc w input =
   let p, info = Ogc_minic.Minic.compile_with_info w.source in
   set_scale p input;
   (p, info)
+
+let compile w input = fst (compile_with_alloc w input)

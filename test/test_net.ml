@@ -1,11 +1,14 @@
 (* Socket-layer tests: the one ADDR grammar, host-name resolution on both
    ends of a TCP connection, the request-line bound at its boundary, the
-   `ogc` client commands over TCP to a host name and past the bound, and
-   `ogc serve` riding out descriptor exhaustion. *)
+   `ogc` client commands over TCP to a host name and past the bound,
+   `ogc serve` riding out descriptor exhaustion and `ogc router` refusing
+   duplicate shard names; and the local subcommands loading and building
+   programs exactly as the service does. *)
 
 module J = Ogc_json.Json
 module Net = Ogc_net.Net
 module Server = Ogc_server.Server
+module Protocol = Ogc_server.Protocol
 
 let () = Ogc_obs.Log.set_level Ogc_obs.Log.Error
 
@@ -158,6 +161,103 @@ let test_cli_oversized_request () =
   Alcotest.(check bool) ("prints the limit: " ^ out) true
     (contains out (Printf.sprintf {|"max_line_bytes":%d|} Net.max_line_bytes))
 
+(* Both ways of naming one shard twice: explicitly, and an explicit name
+   equal to a bare ADDR's positional one.  The check runs before the
+   listener binds. *)
+let test_router_duplicate_shards () =
+  let path = Printf.sprintf "/tmp/ogc-net-dup-%d.sock" (Unix.getpid ()) in
+  List.iter
+    (fun (shards, name) ->
+      let code, out =
+        run_ogc
+          ([ "router"; "--socket"; path ]
+          @ List.concat_map (fun s -> [ "--shard"; s ]) shards)
+      in
+      Alcotest.(check int) ("usage error: " ^ out) 1 code;
+      Alcotest.(check bool) ("names the shard: " ^ out) true
+        (contains out (Printf.sprintf "error: duplicate shard name %S" name));
+      Alcotest.(check bool) "no socket left" false (Sys.file_exists path))
+    [ ([ "a=/tmp/ogc-net-x.sock"; "a=/tmp/ogc-net-y.sock" ], "a");
+      ([ "/tmp/ogc-net-x.sock"; "shard0=/tmp/ogc-net-y.sock" ], "shard0") ]
+
+(* --- one loader ------------------------------------------------------------ *)
+
+let dotprod = "../examples/dotprod.mc"
+
+(* dotprod declares [input_scale]: the CLI scales it like a workload. *)
+let test_run_scales_input () =
+  List.iter
+    (fun (input, steps) ->
+      let code, out = run_ogc [ "run"; dotprod; "--input"; input ] in
+      Alcotest.(check int) ("exit: " ^ out) 0 code;
+      Alcotest.(check bool) (input ^ ": " ^ out) true
+        (contains out (Printf.sprintf "dynamic instructions: %d\n" steps)))
+    [ ("train", 31260); ("ref", 93724) ]
+
+let test_sim_vrs_without_input_scale () =
+  let src = Filename.temp_file "ogc-net" ".mc" in
+  Fun.protect ~finally:(fun () -> Sys.remove src) @@ fun () ->
+  Out_channel.with_open_bin src (fun oc ->
+      output_string oc
+        "int main() { int s = 0; for (int i = 0; i < 50; i++) { s += i; } \
+         emit(s); return 0; }\n");
+  let code, out = run_ogc [ "sim"; src; "--optimize"; "vrs" ] in
+  Alcotest.(check int) ("exit: " ^ out) 0 code;
+  Alcotest.(check bool) ("simulated: " ^ out) true
+    (contains out "instructions : ")
+
+(* [ogc sim] simulates the binary [Protocol.build] makes for the same
+   request, so its report agrees with the service's answer. *)
+let test_sim_matches_service () =
+  let src = In_channel.with_open_bin dotprod In_channel.input_all in
+  List.iter
+    (fun (input, pass) ->
+      let what = input ^ "/" ^ pass in
+      let req =
+        match
+          Protocol.op_of_json
+            (J.Obj
+               [ ("source", J.Str src); ("pass", J.Str pass);
+                 ("policy", J.Str "sw"); ("input", J.Str input) ])
+        with
+        | Protocol.Analyze r -> r
+        | _ -> Alcotest.fail "not an analyze request"
+      in
+      let r = Protocol.analyze req in
+      let code, out =
+        run_ogc
+          [ "sim"; dotprod; "--policy"; "sw"; "--input"; input; "--optimize";
+            pass ]
+      in
+      Alcotest.(check int) (what ^ " exit: " ^ out) 0 code;
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) (what ^ ": " ^ line ^ " in " ^ out) true
+            (contains out (line ^ "\n")))
+        [ Printf.sprintf "instructions : %d" (J.get_int "instructions" r);
+          Printf.sprintf "cycles       : %d (IPC %.2f)" (J.get_int "cycles" r)
+            (J.get_float "ipc" r);
+          Printf.sprintf "energy       : %.0f nJ" (J.get_float "energy_nj" r) ])
+    [ ("train", "vrp"); ("train", "vrs"); ("ref", "vrp"); ("ref", "vrs") ]
+
+(* A saved program that parses but does not validate is a bad program
+   like any other, not an uncaught exception. *)
+let test_invalid_asm () =
+  let s = Filename.temp_file "ogc-net" ".s" in
+  Fun.protect ~finally:(fun () -> Sys.remove s) @@ fun () ->
+  Out_channel.with_open_bin s (fun oc ->
+      output_string oc
+        "func main(0) frame=0\nL0:\n  [   1] li #7, r0\n  [   1] ret\n");
+  let code, out = run_ogc [ "run"; s ] in
+  Alcotest.(check int) ("exit: " ^ out) 1 code;
+  Alcotest.(check bool) ("names the fault: " ^ out) true
+    (contains out "error: invalid program: main: duplicate instruction id 1")
+
+(* VRS always trains on the train input. *)
+let test_vrs_has_no_input () =
+  let code, out = run_ogc [ "vrs"; dotprod; "--input"; "ref" ] in
+  Alcotest.(check int) ("usage error: " ^ out) 124 code
+
 (* --- descriptor exhaustion ---------------------------------------------- *)
 
 (* Under a 20-descriptor limit, sixteen idle connections leave the
@@ -278,4 +378,17 @@ let () =
          Alcotest.test_case "submit prints the answer to an oversized request"
            `Quick test_cli_oversized_request;
          Alcotest.test_case "serve survives running out of descriptors"
-           `Quick test_accept_out_of_descriptors ]) ]
+           `Quick test_accept_out_of_descriptors;
+         Alcotest.test_case "router rejects duplicate shard names" `Quick
+           test_router_duplicate_shards ]);
+      ("loader",
+       [ Alcotest.test_case "run scales a file's input_scale" `Quick
+           test_run_scales_input;
+         Alcotest.test_case "sim --optimize vrs without input_scale" `Quick
+           test_sim_vrs_without_input_scale;
+         Alcotest.test_case "sim matches the service's analyze" `Quick
+           test_sim_matches_service;
+         Alcotest.test_case "vrs takes no --input" `Quick
+           test_vrs_has_no_input;
+         Alcotest.test_case "an invalid .s is an error" `Quick
+           test_invalid_asm ]) ]
