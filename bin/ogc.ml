@@ -224,6 +224,14 @@ let policy_arg =
            ~doc:"Gating policy: none, sw, hw-significance, hw-size, \
                  sw+significance, sw+size.")
 
+(* The request the service answers for PROGRAM at [input] under
+   [policy] after [pass] (VRS at its default cost, 50): [ogc sim] runs
+   its build and [ogc trace --out] traces its analysis. *)
+let service_request spec input policy pass =
+  { Protocol.id = None; payload = payload_of_spec spec; input; pass; policy;
+    cost = 50; deadline_ms = None; return_program = false; trace_id = None;
+    parent_span = None }
+
 let sim_cmd =
   let optimize =
     Arg.(value
@@ -238,12 +246,7 @@ let sim_cmd =
   in
   let run spec input policy pass =
     wrap (fun () ->
-        let _, p =
-          Protocol.build
-            { Protocol.id = None; payload = payload_of_spec spec; input; pass;
-              policy; cost = 50; deadline_ms = None; return_program = false;
-              trace_id = None; parent_span = None }
-        in
+        let _, p = Protocol.build (service_request spec input policy pass) in
         let s = Pipeline.simulate ~policy p in
         Format.printf "instructions : %d@." s.Pipeline.instructions;
         Format.printf "cycles       : %d (IPC %.2f)@." s.Pipeline.cycles
@@ -278,23 +281,12 @@ let diff_cmd =
     wrap (fun () ->
         let p1 = load_program spec1 input in
         let p2 = load_program spec2 input in
-        let widths p =
-          let h = Hashtbl.create 8 in
-          Prog.iter_all_ins p (fun _ _ ins ->
-              let w = Ogc_isa.Instr.width ins.Ogc_ir.Prog.op in
-              Hashtbl.replace h w
-                (1 + Option.value ~default:0 (Hashtbl.find_opt h w)));
-          h
-        in
-        let h1 = widths p1 and h2 = widths p2 in
         Format.printf "static width histogram (%s -> %s):@." spec1 spec2;
-        List.iter
-          (fun w ->
-            let a = Option.value ~default:0 (Hashtbl.find_opt h1 w) in
-            let b = Option.value ~default:0 (Hashtbl.find_opt h2 w) in
+        List.iter2
+          (fun (w, a) (_, b) ->
             Format.printf "  %2s-bit: %5d -> %5d  (%+d)@."
               (Ogc_isa.Width.to_string w) a b (b - a))
-          Ogc_isa.Width.all;
+          (Prog.static_widths p1) (Prog.static_widths p2);
         (* Per-instruction narrowings for instructions present in both. *)
         let ops1 = Hashtbl.create 256 in
         Prog.iter_all_ins p1 (fun _ _ ins ->
@@ -339,11 +331,12 @@ let trace_cmd =
   let out =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
-             ~doc:"Instead of printing interpreter events, run the whole \
-                   pipeline (parse, VRP, VRS, simulate, energy) under span \
-                   tracing and write a Chrome trace_event JSON file — open \
-                   it at $(b,https://ui.perfetto.dev) or \
-                   $(b,chrome://tracing).")
+             ~doc:"Instead of printing interpreter events, trace the \
+                   service's VRS analysis of PROGRAM (the request \
+                   $(b,ogc sim --optimize vrs --policy sw) builds: compile, \
+                   the five chain passes, both simulations, energy) and \
+                   write a Chrome trace_event JSON file — open it at \
+                   $(b,https://ui.perfetto.dev) or $(b,chrome://tracing).")
   in
   let fleet =
     Arg.(value & opt (some string) None
@@ -356,25 +349,21 @@ let trace_cmd =
                    stdout.  The processes must be running with \
                    $(b,--trace).")
   in
-  (* Phase tracing: every pipeline stage runs under an Obs.Span, and the
-     merged rings are exported as a Perfetto-loadable flame chart. *)
+  (* Phase tracing: the service's own analysis of the request, every
+     stage under an Obs.Span, exported as a Perfetto-loadable flame
+     chart. *)
   let run_phase_trace spec input path =
     Metrics.set_enabled true;
     Span.set_enabled true;
-    let p = Span.with_ ~name:"parse" (fun () -> load_program spec input) in
-    (* VRS mutates its program (and runs VRP internally), so give it its
-       own copy; the simulated binary is the VRP one. *)
-    let p_vrs = Prog.copy p in
-    ignore (Vrp.run p) (* records the "vrp" span *);
-    ignore (Vrs.run p_vrs) (* records "vrs" and its train/profile steps *);
-    let stats =
-      Pipeline.simulate ~policy:Policy.Software p (* records "simulate" *)
+    let r =
+      Protocol.analyze
+        (service_request spec input Policy.Software Protocol.P_vrs)
     in
-    Span.with_ ~name:"energy" (fun () ->
-        let total = Account.total stats.Pipeline.energy in
-        let by = Account.by_structure stats.Pipeline.energy in
-        Format.printf "energy: %.0f nJ over %d cycles (%d structures)@."
-          total stats.Pipeline.cycles (List.length by));
+    let structures =
+      match Json.member "by_structure" r with Json.Obj l -> List.length l | _ -> 0
+    in
+    Format.printf "energy: %.0f nJ over %d cycles (%d structures)@."
+      (Json.get_float "energy_nj" r) (Json.get_int "cycles" r) structures;
     Span.write path;
     Span.set_enabled false;
     Fmt.epr "wrote %s@." path

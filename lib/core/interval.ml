@@ -323,61 +323,6 @@ let forward_load w ~signed =
 
 let forward_cmov w ~old ~src = join old (clamp w src)
 
-(* --- backward refinements ------------------------------------------------ *)
-
-(* Backward refinement is only valid when truncation to the operation
-   width is the identity on both operand intervals (so the interval
-   relation speaks about the actual register values) and the forward
-   result cannot wrap. *)
-let no_wrap_add w this other =
-  match (add_ovf this.lo other.lo, add_ovf this.hi other.hi) with
-  | Some lo, Some hi -> subset { lo; hi } (full w)
-  | _ -> false
-
-let exact_operands w this other =
-  subset this (full w) && subset other (full w)
-
-let backward_add ~width:w ~out ~this ~other =
-  if not (exact_operands w this other && no_wrap_add w this other) then
-    Some this
-  else
-    match (sub_ovf out.lo other.hi, sub_ovf out.hi other.lo) with
-    | Some lo, Some hi when Int64.compare lo hi <= 0 -> meet this { lo; hi }
-    | _ -> Some this
-
-let no_wrap_sub w this other =
-  match (sub_ovf this.lo other.hi, sub_ovf this.hi other.lo) with
-  | Some lo, Some hi -> subset { lo; hi } (full w)
-  | _ -> false
-
-let backward_sub_lhs ~width:w ~out ~this ~other =
-  (* out = this - other, so this = out + other *)
-  if not (exact_operands w this other && no_wrap_sub w this other) then
-    Some this
-  else
-    match (add_ovf out.lo other.lo, add_ovf out.hi other.hi) with
-    | Some lo, Some hi when Int64.compare lo hi <= 0 -> meet this { lo; hi }
-    | _ -> Some this
-
-let backward_sub_rhs ~width:w ~out ~this ~other =
-  (* out = other - this, so this = other - out *)
-  if not (exact_operands w this other && no_wrap_sub w other this) then
-    Some this
-  else
-    match (sub_ovf other.lo out.hi, sub_ovf other.hi out.lo) with
-    | Some lo, Some hi when Int64.compare lo hi <= 0 -> meet this { lo; hi }
-    | _ -> Some this
-
-let backward_store w i =
-  match w with
-  | Width.W64 -> i
-  | _ -> (
-    (* Only the low w bits survive: useful range is the w-bit signed range
-       joined with the zero-extended view of the same bits. *)
-    match meet i (join (full w) (zero_extended w)) with
-    | Some r -> r
-    | None -> i)
-
 (* --- branch refinement ---------------------------------------------------- *)
 
 let refine_cond c i ~taken =

@@ -38,10 +38,6 @@ val full : Width.t -> t
 val unsigned_max : Width.t -> int64
 (** [2^bits - 1] for sub-64-bit widths; [Int64.max_int] for [W64]. *)
 
-val zero_extended : Width.t -> t
-(** [\[0, 2^bits-1\]]: the range of a zero-extending load or mask at
-    width < 64; [top] for [W64]. *)
-
 val join : t -> t -> t
 val meet : t -> t -> t option
 (** [None] when the intersection is empty. *)
@@ -76,26 +72,6 @@ val forward_sext : Width.t -> t -> t
 val forward_load : Width.t -> signed:bool -> t
 val forward_cmov : Width.t -> old:t -> src:t -> t
 (** Join of the (truncated) moved value and the preserved old value. *)
-
-(** {1 Backward refinements}
-
-    [backward_*] functions narrow an {e input} interval given the output
-    interval; they return [None] when the constraint system is infeasible
-    (dead code), and the unrefined input when nothing better is known.
-    Backward refinement through wrapping arithmetic is only performed when
-    the forward ranges prove that no overflow can occur (§2.2.5 forbids
-    hiding overflows). *)
-
-val backward_add : width:Width.t -> out:t -> this:t -> other:t -> t option
-(** Refine one addend: [this ∈ out - other] when the add is overflow-free. *)
-
-val backward_sub_lhs : width:Width.t -> out:t -> this:t -> other:t -> t option
-val backward_sub_rhs : width:Width.t -> out:t -> this:t -> other:t -> t option
-
-val backward_store : Width.t -> t -> t
-(** A width-[w] store only keeps the low [w] bits of the stored value
-    semantically relevant — the useful range of the source is at most the
-    signed range of [w] joined with its zero-extended range. *)
 
 (** {1 Branch refinement support} *)
 

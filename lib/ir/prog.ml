@@ -107,6 +107,15 @@ let num_static_ins t =
       Array.fold_left (fun acc b -> acc + Array.length b.body + 1) acc f.blocks)
     0 t.funcs
 
+let static_widths t =
+  let h = Hashtbl.create 4 in
+  iter_all_ins t (fun _ _ ins ->
+      let w = Instr.width ins.op in
+      Hashtbl.replace h w (1 + Option.value ~default:0 (Hashtbl.find_opt h w)));
+  List.map
+    (fun w -> (w, Option.value ~default:0 (Hashtbl.find_opt h w)))
+    Width.all
+
 let ins_table t =
   let tbl = Hashtbl.create 1024 in
   iter_all_ins t (fun f b ins -> Hashtbl.replace tbl ins.iid (f, b, ins));

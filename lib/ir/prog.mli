@@ -90,6 +90,10 @@ val iter_all_ins : t -> (func -> block -> ins -> unit) -> unit
 val num_static_ins : t -> int
 (** Static instruction count including terminators. *)
 
+val static_widths : t -> (Width.t * int) list
+(** Body instructions per operation width, one entry for each of
+    {!Width.all} in its order (a width no instruction uses counts 0). *)
+
 (** {1 Instruction lookup} *)
 
 val ins_table : t -> (int, func * block * ins) Hashtbl.t

@@ -1,7 +1,5 @@
 type opcode = int
 
-type encoded = { word : int32; ext : int64 option }
-
 (* --- opcode numbering ------------------------------------------------------
 
    Dense, systematic numbering: operations enumerate their width variants
@@ -158,133 +156,3 @@ let base_alpha op =
   else if op >= msk_base && op < li_op then true (* MSK/EXT, SEXTB/W, ADDL *)
   else if op >= li_op && op < num_opcodes then true
   else Fmt.invalid_arg "Encoding.base_alpha: %d" op
-
-(* --- encode / decode --------------------------------------------------------
-
-   Word fields (from bit 0): [7:0] opcode, [12:8] dst, [17:13] src1,
-   [22:18] src2/test, [23] immediate flag.  Any immediate, displacement or
-   symbol index travels in the 64-bit extension word. *)
-
-type symtab = { sym_index : string -> int; sym_name : int -> string }
-
-let identity_symtab () =
-  let fwd = Hashtbl.create 16 and bwd = Hashtbl.create 16 in
-  let next = ref 0 in
-  {
-    sym_index =
-      (fun s ->
-        match Hashtbl.find_opt fwd s with
-        | Some i -> i
-        | None ->
-          let i = !next in
-          incr next;
-          Hashtbl.replace fwd s i;
-          Hashtbl.replace bwd i s;
-          i);
-    sym_name =
-      (fun i ->
-        match Hashtbl.find_opt bwd i with
-        | Some s -> s
-        | None -> Fmt.invalid_arg "symtab: unknown symbol %d" i);
-  }
-
-let pack ~opcode ~dst ~src1 ~src2 ~imm_flag =
-  Int32.logor
-    (Int32.of_int
-       (opcode lor (dst lsl 8) lor (src1 lsl 13) lor (src2 lsl 18)))
-    (if imm_flag then Int32.shift_left 1l 23 else 0l)
-
-let field word ~lo ~bits =
-  (Int32.to_int (Int32.shift_right_logical word lo)) land ((1 lsl bits) - 1)
-
-let encode symtab (i : Instr.t) =
-  let opcode = opcode_of i in
-  let r = Reg.to_int in
-  let reg_or_imm = function
-    | Instr.Reg x -> (r x, false, None)
-    | Instr.Imm v -> (0, true, Some v)
-  in
-  match i with
-  | Instr.Alu { src1; src2; dst; _ } | Instr.Cmp { src1; src2; dst; _ } ->
-    let s2, imm_flag, ext = reg_or_imm src2 in
-    { word = pack ~opcode ~dst:(r dst) ~src1:(r src1) ~src2:s2 ~imm_flag; ext }
-  | Instr.Cmov { test; src; dst; _ } ->
-    let s2, imm_flag, ext = reg_or_imm src in
-    { word = pack ~opcode ~dst:(r dst) ~src1:(r test) ~src2:s2 ~imm_flag; ext }
-  | Instr.Msk { src; dst; _ } | Instr.Sext { src; dst; _ } ->
-    { word = pack ~opcode ~dst:(r dst) ~src1:(r src) ~src2:0 ~imm_flag:false;
-      ext = None }
-  | Instr.Li { dst; imm } ->
-    { word = pack ~opcode ~dst:(r dst) ~src1:0 ~src2:0 ~imm_flag:true;
-      ext = Some imm }
-  | Instr.La { dst; symbol } ->
-    { word = pack ~opcode ~dst:(r dst) ~src1:0 ~src2:0 ~imm_flag:true;
-      ext = Some (Int64.of_int (symtab.sym_index symbol)) }
-  | Instr.Load { base; offset; dst; _ } ->
-    { word = pack ~opcode ~dst:(r dst) ~src1:(r base) ~src2:0 ~imm_flag:true;
-      ext = Some offset }
-  | Instr.Store { base; offset; src; _ } ->
-    { word = pack ~opcode ~dst:0 ~src1:(r base) ~src2:(r src) ~imm_flag:true;
-      ext = Some offset }
-  | Instr.Call { callee } ->
-    { word = pack ~opcode ~dst:0 ~src1:0 ~src2:0 ~imm_flag:true;
-      ext = Some (Int64.of_int (symtab.sym_index callee)) }
-  | Instr.Emit { src } ->
-    { word = pack ~opcode ~dst:0 ~src1:(r src) ~src2:0 ~imm_flag:false;
-      ext = None }
-
-let decode symtab { word; ext } =
-  let opcode = field word ~lo:0 ~bits:8 in
-  let dst = Reg.of_int (field word ~lo:8 ~bits:5) in
-  let src1 = Reg.of_int (field word ~lo:13 ~bits:5) in
-  let src2 = Reg.of_int (field word ~lo:18 ~bits:5) in
-  let imm_flag = field word ~lo:23 ~bits:1 = 1 in
-  let operand () =
-    if imm_flag then
-      match ext with
-      | Some v -> Instr.Imm v
-      | None -> invalid_arg "Encoding.decode: missing extension word"
-    else Instr.Reg src2
-  in
-  let required_ext () =
-    match ext with
-    | Some v -> v
-    | None -> invalid_arg "Encoding.decode: missing extension word"
-  in
-  if opcode >= alu_base && opcode < cmp_base then begin
-    let k = opcode - alu_base in
-    Instr.Alu { op = List.nth alu_ops (k / 4); width = width_of_index (k mod 4);
-                src1; src2 = operand (); dst }
-  end
-  else if opcode >= cmp_base && opcode < cmov_base then begin
-    let k = opcode - cmp_base in
-    Instr.Cmp { op = List.nth cmp_ops (k / 4); width = width_of_index (k mod 4);
-                src1; src2 = operand (); dst }
-  end
-  else if opcode >= cmov_base && opcode < msk_base then begin
-    let k = opcode - cmov_base in
-    Instr.Cmov { cond = List.nth conds (k / 4);
-                 width = width_of_index (k mod 4); test = src1;
-                 src = operand (); dst }
-  end
-  else if opcode >= msk_base && opcode < sext_base then
-    Instr.Msk { width = width_of_index (opcode - msk_base); src = src1; dst }
-  else if opcode >= sext_base && opcode < li_op then
-    Instr.Sext { width = width_of_index (opcode - sext_base); src = src1; dst }
-  else if opcode = li_op then Instr.Li { dst; imm = required_ext () }
-  else if opcode = la_op then
-    Instr.La { dst; symbol = symtab.sym_name (Int64.to_int (required_ext ())) }
-  else if opcode >= load_base && opcode < store_base then begin
-    let k = opcode - load_base in
-    Instr.Load { width = width_of_index (k / 2); signed = k mod 2 = 1;
-                 base = src1; offset = required_ext (); dst }
-  end
-  else if opcode >= store_base && opcode < call_op then
-    Instr.Store { width = width_of_index (opcode - store_base); base = src1;
-                  offset = required_ext (); src = src2 }
-  else if opcode = call_op then
-    Instr.Call { callee = symtab.sym_name (Int64.to_int (required_ext ())) }
-  else if opcode = emit_op then Instr.Emit { src = src1 }
-  else Fmt.invalid_arg "Encoding.decode: bad opcode %d" opcode
-
-let size_bytes e = match e.ext with None -> 4 | Some _ -> 12

@@ -1,34 +1,16 @@
-(** Binary instruction encoding.
+(** The opcode space.
 
     The paper's premise is that "the ISA contains opcodes that specify
     operand lengths"; §4.3 analyzes which width-variant opcodes must be
     {e added} to the Alpha ISA to support VRP (byte and halfword addition,
     byte subtraction, byte and word logicals, shifts, conditional moves
     and comparisons).  This module makes the opcode space concrete: every
-    (operation, width) pair used by the IR gets a numeric opcode, and
-    instructions encode to fixed 32-bit words (plus a 64-bit immediate
-    extension word for values that do not fit the 16-bit immediate field).
-
-    Word layout (fields from bit 0):
-
-    {v
-    [7:0]   opcode          [12:8]  dst register
-    [17:13] src1 register   [22:18] src2/test register
-    [23]    immediate flag: the second operand (or the displacement,
-            immediate or symbol index) is in the 64-bit extension word
-    v}
-
-    The encoding is register-complete and round-trips every instruction
-    the code generator or the optimizer can produce; it exists for opcode
-    accounting (§4.3), for the assembler/disassembler, and to pin the
-    opcode budget (how much opcode space software operand-gating costs). *)
-
+    (operation, width) pair used by the IR gets a numeric opcode.  It
+    exists for opcode accounting (§4.3, the opcode-budget table), for the
+    pipeline model's per-opcode counters, and to pin the opcode budget
+    (how much opcode space software operand-gating costs). *)
 
 type opcode = private int
-
-(** Encoded form: one mandatory word plus an optional extension word
-    carrying a wide immediate / displacement / symbol index. *)
-type encoded = { word : int32; ext : int64 option }
 
 (** [opcode_of i] is the numeric opcode of instruction [i] —
     operation and width included ([add8] and [add16] differ). *)
@@ -51,21 +33,3 @@ val all_opcodes : (opcode * string) list
     mask/extract, 64-bit compares/cmovs); [false] for the paper's §4.3
     extension opcodes. *)
 val base_alpha : opcode -> bool
-
-(** {1 Encoding and decoding}
-
-    Calls and global-address loads reference symbols; encoding maps them
-    through a symbol table (index in the extension word). *)
-
-type symtab = { sym_index : string -> int; sym_name : int -> string }
-
-val identity_symtab : unit -> symtab
-(** Accumulates symbols on first use; for tests and round-trips. *)
-
-val encode : symtab -> Instr.t -> encoded
-
-val decode : symtab -> encoded -> Instr.t
-(** Raises [Invalid_argument] on malformed words. *)
-
-(** [size_bytes e] is 4 or 12 (with extension word). *)
-val size_bytes : encoded -> int

@@ -293,36 +293,22 @@ let build ?store ?wire req =
        input alone. *)
     let base = Prog.copy p in
     set_scale_if base req.input;
-    (* With a streamed profile the training runs are replaced by the
-       client's observations, and the chain grows a zero-specialization
-       tail — always-zero observations are exactly what [zspec] wants.
-       Without one (every legacy client) the chain is byte-identical to
-       what it always was. *)
-    let chain =
-      match wire with
-      | Some _ ->
-        Printf.sprintf
-          "vrp,encode-widths,bb-profile,value-profile,vrs:cost=%d,zspec:cost=%d"
-          req.cost req.cost
-      | None ->
-        Printf.sprintf "vrp,encode-widths,bb-profile,value-profile,vrs:cost=%d"
-          req.cost
+    (* One chain at every profile epoch: a streamed profile only replaces
+       the training runs behind [bb-profile] and [value-profile]. *)
+    let st, _ =
+      Pass.run ?store ?wire
+        (Printf.sprintf "vrp,encode-widths,bb-profile,value-profile,vrs:cost=%d"
+           req.cost)
+        p
     in
-    let st, _ = Pass.run ?store ?wire chain p in
     let p = st.Pass.prog in
     set_scale_if p req.input;
     (base, p)
 
 let static_widths p =
-  let h = Hashtbl.create 8 in
-  Prog.iter_all_ins p (fun _ _ ins ->
-      let w = Ogc_isa.Instr.width ins.Prog.op in
-      Hashtbl.replace h w (1 + Option.value ~default:0 (Hashtbl.find_opt h w)));
   List.map
-    (fun w ->
-      ( Ogc_isa.Width.to_string w,
-        J.Int (Option.value ~default:0 (Hashtbl.find_opt h w)) ))
-    Ogc_isa.Width.all
+    (fun (w, n) -> (Ogc_isa.Width.to_string w, J.Int n))
+    (Prog.static_widths p)
 
 let dynamic_widths stats =
   List.map

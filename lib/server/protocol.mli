@@ -125,8 +125,8 @@ val build :
     both scaled to its [input]: [none] is the loaded program, [vrp] the
     [vrp,encode-widths] chain, [vrs] the
     [vrp,encode-widths,bb-profile,value-profile,vrs:cost=N] chain
-    trained on the train input (plus a [zspec] tail when [wire] is
-    given).  [store] and [wire] are {!analyze}'s.  Raises [Parse_error]
+    trained on the train input, the same five passes at every profile
+    epoch.  [store] and [wire] are {!analyze}'s.  Raises [Parse_error]
     like {!load}. *)
 
 val analyze :
@@ -140,8 +140,11 @@ val analyze :
     VRS requests differing only in [cost]) then reuse the VRP fixpoint
     and the training/value profiles instead of recomputing them — with
     byte-identical results, warm or cold.  [wire] is the program's
-    accumulated streamed profile: a VRS request then consumes the
-    client's observations in place of its training interpreter runs and
-    grows a [zspec] (zero-specialization) tail on its chain.  Raises
-    [Parse_error] on bad programs and [Failure] when an optimization
-    changes the program's output. *)
+    accumulated streamed profile: a VRS request then takes its block
+    counts and value profiles from the client's observations in place
+    of its training interpreter runs, and runs the same chain — so the
+    only interpreter runs left are the two simulations.  A wire profile
+    of the train-input run ([ogc submit --push-profile auto]) therefore
+    yields the epoch-0 answer byte for byte.  Raises [Parse_error] on
+    bad programs and [Failure] when an optimization changes the
+    program's output. *)

@@ -83,10 +83,10 @@ type t = {
 }
 
 (* The pass store always holds one whole chain: the longest that
-   [Protocol.build] runs is VRS with its zspec tail, six passes.  A
-   smaller store never hits, because each run evicts its own first
-   snapshot before the next run looks it up. *)
-let longest_chain = 6
+   [Protocol.build] runs is VRS, five passes.  A smaller store never
+   hits, because each run evicts its own first snapshot before the next
+   run looks it up. *)
+let longest_chain = 5
 
 (* --- socket setup --------------------------------------------------------- *)
 

@@ -27,8 +27,8 @@
     observations, always-zero counts).  Pushes accumulate in a
     {!Profile_store} and bump the program's {e epoch}; VRS requests then
     consume the accumulated profile instead of the training interpreter
-    and grow a [zspec] zero-specialization tail, with the epoch salting
-    their cache keys.  When a push outdates a cached result the server
+    runs, with the epoch salting their cache keys — the same VRS chain
+    at every epoch.  When a push outdates a cached result the server
     answers stale-while-revalidate: the previous-epoch artifact is
     served immediately ([{"cache":"stale"}]) while a background
     re-specialization runs on the worker pool ([stats] reports all of

@@ -233,32 +233,6 @@ let prop_refine_cmp_sound =
       in
       lhs_ok && rhs_ok)
 
-let prop_backward_add_sound =
-  QCheck.Test.make ~name:"backward_add keeps the real addend" ~count:10000
-    QCheck.(triple (oneofl Width.all) arb_ivp arb_ivp)
-    (fun (w, (ia, a), (ib, _b)) ->
-      let out = I.forward_alu Instr.Add w ia ib in
-      match I.backward_add ~width:w ~out ~this:ia ~other:ib with
-      | Some r -> I.contains r a
-      | None -> false)
-
-let prop_backward_sub_sound =
-  QCheck.Test.make ~name:"backward_sub keeps the real operands" ~count:10000
-    QCheck.(triple (oneofl Width.all) arb_ivp arb_ivp)
-    (fun (w, (ia, a), (ib, b)) ->
-      let out = I.forward_alu Instr.Sub w ia ib in
-      let lhs =
-        match I.backward_sub_lhs ~width:w ~out ~this:ia ~other:ib with
-        | Some r -> I.contains r a
-        | None -> false
-      in
-      let rhs =
-        match I.backward_sub_rhs ~width:w ~out ~this:ib ~other:ia with
-        | Some r -> I.contains r b
-        | None -> false
-      in
-      lhs && rhs)
-
 let prop_join_monotone =
   QCheck.Test.make ~name:"join is an upper bound" ~count:5000
     QCheck.(pair arb_ivp arb_ivp)
@@ -307,8 +281,6 @@ let () =
             prop_cmov_sound;
             prop_refine_cond_sound;
             prop_refine_cmp_sound;
-            prop_backward_add_sound;
-            prop_backward_sub_sound;
             prop_join_monotone;
             prop_meet_sound;
             prop_width_sound;

@@ -12,13 +12,6 @@ let iv = Alcotest.testable I.pp I.equal
 let test_constructors () =
   Alcotest.check iv "bool" (I.v 0L 1L) I.bool;
   Alcotest.check iv "full W8" (I.v (-128L) 127L) (I.full Width.W8);
-  Alcotest.check iv "zero_extended W8" (I.v 0L 255L) (I.zero_extended Width.W8);
-  Alcotest.check iv "zero_extended W16" (I.v 0L 65535L)
-    (I.zero_extended Width.W16);
-  Alcotest.check iv "zero_extended W32" (I.v 0L 0xFFFF_FFFFL)
-    (I.zero_extended Width.W32);
-  Alcotest.check iv "zero_extended W64 is top" I.top
-    (I.zero_extended Width.W64);
   Alcotest.(check int64) "unsigned_max W16" 65535L (I.unsigned_max Width.W16);
   Alcotest.(check int64) "unsigned_max W64 saturates" Int64.max_int
     (I.unsigned_max Width.W64)
@@ -99,14 +92,6 @@ let test_cmp_op_precision () =
   Alcotest.check iv "wide range at W8" I.bool
     (c Instr.Clt Width.W8 (I.v 0L 300L) (I.const 500L))
 
-let test_backward_store () =
-  let r = I.backward_store Width.W8 I.top in
-  Alcotest.check iv "byte store useful range" (I.v (-128L) 255L) r;
-  Alcotest.check iv "already narrow unchanged" (I.v 3L 9L)
-    (I.backward_store Width.W8 (I.v 3L 9L));
-  Alcotest.check iv "quad store unchanged" I.top
-    (I.backward_store Width.W64 I.top)
-
 (* The width-landmark contract: after widening to a landmark, the range
    still fits the corresponding operation width, so compare refinement
    continues to apply (this was a real divergence bug). *)
@@ -131,7 +116,6 @@ let () =
           Alcotest.test_case "remainder" `Quick test_rem_corners;
           Alcotest.test_case "shift amounts" `Quick test_shift_amounts;
           Alcotest.test_case "precise compares" `Quick test_cmp_op_precision;
-          Alcotest.test_case "backward store" `Quick test_backward_store;
           Alcotest.test_case "landmark refinability" `Quick
             test_landmark_refinability;
         ] );

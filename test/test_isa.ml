@@ -202,57 +202,6 @@ let test_base_alpha () =
   in
   Alcotest.(check bool) "ldwu base" true (Encoding.base_alpha ld16)
 
-let test_encode_roundtrip_unit () =
-  let st = Encoding.identity_symtab () in
-  let cases =
-    [ Instr.Alu { op = Instr.Add; width = Width.W8; src1 = r 1;
-                  src2 = Instr.Imm (-32768L); dst = r 2 };
-      Instr.Alu { op = Instr.Sra; width = Width.W64; src1 = r 31;
-                  src2 = Instr.Reg (r 30); dst = r 29 };
-      Instr.Cmp { op = Instr.Cule; width = Width.W16; src1 = r 5;
-                  src2 = Instr.Reg (r 6); dst = r 7 };
-      Instr.Cmov { cond = Instr.Ge; width = Width.W32; test = r 1;
-                   src = Instr.Imm 123L; dst = r 2 };
-      Instr.Msk { width = Width.W8; src = r 3; dst = r 4 };
-      Instr.Sext { width = Width.W16; src = r 3; dst = r 4 };
-      Instr.Li { dst = r 9; imm = Int64.min_int };
-      Instr.La { dst = r 9; symbol = "table" };
-      Instr.Load { width = Width.W32; signed = true; base = r 30;
-                   offset = -8L; dst = r 1 };
-      Instr.Store { width = Width.W64; base = r 30; offset = 184L; src = r 9 };
-      Instr.Call { callee = "helper" };
-      Instr.Emit { src = r 1 } ]
-  in
-  List.iter
-    (fun i ->
-      let e = Encoding.encode st i in
-      let d = Encoding.decode st e in
-      Alcotest.(check string) (Instr.to_string i) (Instr.to_string i)
-        (Instr.to_string d);
-      Alcotest.(check bool) "size is 4 or 12" true
-        (let s = Encoding.size_bytes e in
-         s = 4 || s = 12))
-    cases
-
-(* Round-trip every instruction of every compiled workload binary,
-   before and after VRP narrows the opcodes. *)
-let test_encode_roundtrip_workloads () =
-  List.iter
-    (fun (w : Ogc_workloads.Workload.t) ->
-      let p = Ogc_workloads.Workload.compile w Ogc_workloads.Workload.Train in
-      ignore (Ogc_core.Vrp.run p);
-      let st = Encoding.identity_symtab () in
-      let n = ref 0 in
-      Ogc_ir.Prog.iter_all_ins p (fun _ _ ins ->
-          incr n;
-          let i = ins.Ogc_ir.Prog.op in
-          let d = Encoding.decode st (Encoding.encode st i) in
-          if Instr.to_string i <> Instr.to_string d then
-            Alcotest.failf "%s: %s round-tripped to %s" w.Ogc_workloads.Workload.name
-              (Instr.to_string i) (Instr.to_string d));
-      Alcotest.(check bool) "instructions checked" true (!n > 100))
-    Ogc_workloads.Workload.all
-
 let arb_instr =
   let open QCheck.Gen in
   let reg = map Reg.of_int (int_range 0 31) in
@@ -294,13 +243,6 @@ let arb_instr =
   in
   QCheck.make ~print:Instr.to_string gen
 
-let prop_encode_roundtrip =
-  QCheck.Test.make ~name:"encode/decode round-trips" ~count:5000 arb_instr
-    (fun i ->
-      let st = Encoding.identity_symtab () in
-      let d = Encoding.decode st (Encoding.encode st i) in
-      String.equal (Instr.to_string i) (Instr.to_string d))
-
 let prop_opcode_width_consistent =
   QCheck.Test.make ~name:"opcode embeds the instruction width" ~count:5000
     arb_instr (fun i ->
@@ -336,12 +278,8 @@ let () =
         [
           Alcotest.test_case "opcode space" `Quick test_opcode_space;
           Alcotest.test_case "base alpha split" `Quick test_base_alpha;
-          Alcotest.test_case "round-trip units" `Quick test_encode_roundtrip_unit;
-          Alcotest.test_case "round-trip workloads" `Slow
-            test_encode_roundtrip_workloads;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_low_bits; prop_result_fits; prop_encode_roundtrip;
-            prop_opcode_width_consistent ] );
+          [ prop_low_bits; prop_result_fits; prop_opcode_width_consistent ] );
     ]

@@ -1,9 +1,10 @@
 (* Socket-layer tests: the one ADDR grammar, host-name resolution on both
    ends of a TCP connection, the request-line bound at its boundary, the
    `ogc` client commands over TCP to a host name and past the bound,
-   `ogc serve` riding out descriptor exhaustion and `ogc router` refusing
-   duplicate shard names; and the local subcommands loading and building
-   programs exactly as the service does. *)
+   `ogc serve` riding out descriptor exhaustion, `ogc router` refusing
+   duplicate shard names and `ogc trace --out` tracing the service's VRS
+   request; and the local subcommands loading and building programs
+   exactly as the service does. *)
 
 module J = Ogc_json.Json
 module Net = Ogc_net.Net
@@ -160,6 +161,49 @@ let test_cli_oversized_request () =
   Alcotest.(check int) ("exit: " ^ out) 1 code;
   Alcotest.(check bool) ("prints the limit: " ^ out) true
     (contains out (Printf.sprintf {|"max_line_bytes":%d|} Net.max_line_bytes))
+
+(* [ogc trace --out] traces the analysis the service runs for the
+   request [ogc sim --optimize vrs --policy sw] builds: the same energy,
+   and the VRS pass once. *)
+let test_trace_out_is_the_service_vrs () =
+  let zerospec = "../examples/zerospec.mc" in
+  let energy_of prefix out =
+    match
+      List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' out)
+    with
+    | Some line ->
+      Scanf.sscanf
+        (String.sub line (String.length prefix)
+           (String.length line - String.length prefix))
+        " %d nJ" Fun.id
+    | None -> Alcotest.failf "no %S line in %s" prefix out
+  in
+  let code, sim =
+    run_ogc
+      [ "sim"; zerospec; "--optimize"; "vrs"; "--policy"; "sw"; "--input";
+        "ref" ]
+  in
+  Alcotest.(check int) ("sim exit: " ^ sim) 0 code;
+  let trace = Filename.temp_file "ogc-net" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  let code, out =
+    run_ogc [ "trace"; "--out"; trace; zerospec; "--input"; "ref" ]
+  in
+  Alcotest.(check int) ("trace exit: " ^ out) 0 code;
+  Alcotest.(check int) ("energy: " ^ out ^ " vs " ^ sim)
+    (energy_of "energy       :" sim) (energy_of "energy:" out);
+  let doc = J.of_string (In_channel.with_open_bin trace In_channel.input_all) in
+  let vrs_spans =
+    match J.member "traceEvents" doc with
+    | J.Arr evs ->
+      List.length
+        (List.filter
+           (fun e ->
+             J.member "name" e = J.Str "pass:vrs" && J.member "ph" e = J.Str "B")
+           evs)
+    | _ -> Alcotest.fail "trace --out wrote no traceEvents"
+  in
+  Alcotest.(check int) "one pass:vrs span" 1 vrs_spans
 
 (* Both ways of naming one shard twice: explicitly, and an explicit name
    equal to a bare ADDR's positional one.  The check runs before the
@@ -380,7 +424,9 @@ let () =
          Alcotest.test_case "serve survives running out of descriptors"
            `Quick test_accept_out_of_descriptors;
          Alcotest.test_case "router rejects duplicate shard names" `Quick
-           test_router_duplicate_shards ]);
+           test_router_duplicate_shards;
+         Alcotest.test_case "trace --out traces the service's VRS request"
+           `Quick test_trace_out_is_the_service_vrs ]);
       ("loader",
        [ Alcotest.test_case "run scales a file's input_scale" `Quick
            test_run_scales_input;

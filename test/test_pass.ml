@@ -321,8 +321,9 @@ let report_view (st : Pass.state) =
     st.Pass.report
 
 (* An eight-snapshot store shared by the whole sample.  Each program
-   runs the server's two VRS chains back to back: without a wire
-   profile, then with an epoch-1 wire profile and the zspec tail.  The
+   runs two VRS chains back to back: the server's, without a wire
+   profile, then with an epoch-1 wire profile and a zspec tail (a chain
+   that transforms the program before a profile-dependent pass).  The
    second run restores the first run's epoch-free [vrp] and
    [encode-widths] snapshots and re-runs the epoch-salted rest, and
    every program's snapshots evict the previous program's.  Every output

@@ -2,7 +2,9 @@
    interpreter equivalence on every zero-biased random program, guards
    that actually fire on zero-dominated code, a strict energy win under
    the pipeline model when the zero path is the one taken, and the
-   byte-identity pin of both specialization back halves. *)
+   byte-identity pin of both specialization back halves.  Also the
+   service's side of it: a VRS request runs one chain at every profile
+   epoch, with no zspec tail after a profile push. *)
 
 module Pass = Ogc_pass.Pass
 module Prog = Ogc_ir.Prog
@@ -15,6 +17,9 @@ module Account = Ogc_energy.Account
 module Vrs = Ogc_core.Vrs
 module Workload = Ogc_workloads.Workload
 module Profile = Ogc_pass.Profile
+module Protocol = Ogc_server.Protocol
+module J = Ogc_json.Json
+module Span = Ogc_obs.Span
 
 let zspec_chain = "vrp,encode-widths,bb-profile,value-profile,zspec:cost=50"
 
@@ -326,6 +331,65 @@ let test_pinned () =
     (fun (key, want) (_, got) -> Alcotest.(check string) key want got)
     pinned rows
 
+(* --- the service's VRS chain at a profile epoch ------------------------- *)
+
+let vrs_request src =
+  match
+    Protocol.op_of_json
+      (J.Obj
+         [ ("source", J.Str src); ("pass", J.Str "vrs"); ("cost", J.Int 50);
+           ("input", J.Str "train") ])
+  with
+  | Protocol.Analyze r -> r
+  | _ -> Alcotest.fail "not an analyze request"
+
+(* What [ogc submit --push-profile auto] pushes: the client's own
+   train-input run, arriving as the program's first epoch. *)
+let auto_wire src =
+  let wire = Profile.collect (train (Minic.compile src)) in
+  wire.Profile.p_epoch <- 1;
+  wire
+
+(* The pushed profile replaces the training runs exactly and the chain
+   is the same five passes, so the respecialized answer is the epoch-0
+   answer byte for byte. *)
+let test_auto_push_reproduces_epoch0 () =
+  List.iter
+    (fun (name, src) ->
+      let req = vrs_request src in
+      let answer ?wire () =
+        J.to_string ~indent:false (Protocol.analyze ?wire req)
+      in
+      Alcotest.(check string) name (answer ()) (answer ~wire:(auto_wire src) ()))
+    (List.filter
+       (fun (name, _) ->
+         List.mem name [ "zerospec.mc"; "dotprod.mc"; "m88ksim" ]
+         || String.starts_with ~prefix:"zero-bias-" name)
+       pin_inputs)
+
+(* With a wire profile the only interpreter runs left in a VRS analysis
+   are its two simulations. *)
+let test_wire_interprets_only_to_simulate () =
+  let src = List.assoc "zerospec.mc" pin_inputs in
+  let req = vrs_request src and wire = auto_wire src in
+  Span.reset ();
+  Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Span.set_enabled false)
+    (fun () -> ignore (Protocol.analyze ~wire req));
+  let interps =
+    match J.member "traceEvents" (Span.export ()) with
+    | J.Arr evs ->
+      List.length
+        (List.filter
+           (fun e ->
+             J.member "name" e = J.Str "interp" && J.member "ph" e = J.Str "B")
+           evs)
+    | _ -> Alcotest.fail "no traceEvents"
+  in
+  Span.reset ();
+  Alcotest.(check int) "interp spans" 2 interps
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "zspec"
@@ -345,5 +409,12 @@ let () =
         [
           Alcotest.test_case "strictly cheaper when the zero path is taken"
             `Quick test_strictly_cheaper_on_zero_path;
+        ] );
+      ( "service",
+        [
+          Alcotest.test_case "an auto push reproduces the epoch-0 answer"
+            `Quick test_auto_push_reproduces_epoch0;
+          Alcotest.test_case "a wire VRS request interprets only to simulate"
+            `Quick test_wire_interprets_only_to_simulate;
         ] );
     ]
